@@ -34,6 +34,7 @@ import numpy as np
 
 from .entropy import EntropyProfile, discrete_profile
 from .exactmath import (
+    _frac_str,
     factor_bounded,
     lcm_range,
     max_prime_power_table,
@@ -471,12 +472,6 @@ def construct_from_config(
         elements=(),
         reason=reason,
     )
-
-
-def _frac_str(f: Fraction | None) -> str | None:
-    if f is None:
-        return None
-    return f"{f.numerator}/{f.denominator}"
 
 
 def trace_to_dict(trace: AbsorptionTrace) -> dict:

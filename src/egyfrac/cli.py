@@ -30,7 +30,7 @@ from . import __version__
 from .absorption import construct_representation, trace_to_dict, verify_representation
 from .counting import MODE_AT_MOST, MODE_EXACT, CountQuery, count_brute, count_mitm
 from .entropy import continuous_lambda, cx_constant, discrete_profile, _lambda_integral
-from .exactmath import powersmooth_count, smooth_density_linear
+from .exactmath import _frac_str, powersmooth_count, smooth_density_linear
 from .modelsim import estimate_prob_at_most, model_moments
 from .modular import make_instance, residue_coverage
 
@@ -48,10 +48,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
-
-
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -374,7 +370,7 @@ def run(argv=None) -> int:
 
     csv_rows = payload.pop("_csv", None)
     parameters = {
-        k: (str(v) if isinstance(v, Fraction) else v)
+        k: (_frac_str(v) if isinstance(v, Fraction) else v)
         for k, v in vars(args).items()
         if k not in ("command", "out", "format", "budget") and v is not None
     }

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import xlogy
 
 LOG2E = math.log2(math.e)
 
@@ -32,6 +30,13 @@ _LAMBDA_LO = 1e-12
 _LAMBDA_HI = 1e2
 _LAMBDA_MAX_ITER = 200
 _INTEGRAL_RTOL = 1e-8
+
+# Logistic probabilities below this are flushed to exactly 0.0, so no
+# subnormal ever reaches a product, sum or logarithm downstream.
+_P_FLOOR = 1e-260
+
+# Fixed 32-node Gauss-Legendre rule on [-1, 1] for the continuous integrals.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 __all__ = [
     "EntropyProfile",
@@ -70,15 +75,25 @@ def binary_entropy(p: float) -> float:
     return float(-p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p))
 
 
-def _logistic_profile(c: float, n: int, members: np.ndarray) -> np.ndarray:
-    """p_m = 1/(1 + exp(c*n/m)) evaluated stably for c >= 0."""
-    t = c * n / members
-    e = np.exp(-t)
-    return e / (1.0 + e)
+def _logistic(t: np.ndarray) -> np.ndarray:
+    """1/(1 + exp(t)) evaluated stably for t >= 0; exactly 0.0 below _P_FLOOR."""
+    # exp(-700) is still a normal float, so neither exp nor the division underflows
+    p = np.exp(-np.minimum(t, 700.0))
+    p /= 1.0 + p
+    p[p < _P_FLOOR] = 0.0
+    return p
+
+
+def _entropy_nats(p: np.ndarray) -> np.ndarray:
+    """-p*ln(p) - (1-p)*ln(1-p) elementwise, with h(0) = 0.
+
+    ln(1-p) goes through log1p so that tiny p keeps its relative accuracy.
+    """
+    return -p * np.log(np.where(p > 0.0, p, 1.0)) - (1.0 - p) * np.log1p(-p)
 
 
 def _entropy_bits(p: np.ndarray) -> float:
-    return float(np.sum(-xlogy(p, p) - xlogy(1.0 - p, 1.0 - p)) / math.log(2))
+    return float(np.sum(_entropy_nats(p)) / math.log(2))
 
 
 def discrete_profile(n: int, x: float, support=None) -> EntropyProfile:
@@ -112,7 +127,7 @@ def discrete_profile(n: int, x: float, support=None) -> EntropyProfile:
     else:
 
         def constraint(c_try: float) -> float:
-            return float(np.dot(_logistic_profile(c_try, n, members), inv))
+            return float(np.dot(_logistic(c_try * n / members), inv))
 
         hi = 1.0
         for _ in range(200):
@@ -131,7 +146,7 @@ def discrete_profile(n: int, x: float, support=None) -> EntropyProfile:
             else:
                 hi = mid
         c = 0.5 * (lo + hi)
-        p_members = _logistic_profile(c, n, members)
+        p_members = _logistic(c * n / members)
         residual = abs(float(np.dot(p_members, inv)) - x)
         if residual > 1e-10 * x:
             raise RuntimeError(
@@ -157,39 +172,38 @@ def entropy_upper_bound(n: int, x) -> float:
     return prof.H + slack
 
 
-def _lambda_integrand(u: float, lam: float) -> float:
-    # 1/(u*(1+exp(lam*u))) written via exp(-lam*u) so large lam*u underflows
-    # to zero instead of overflowing.
-    t = lam * u
-    if t > 745.0:
-        return 0.0
-    e = math.exp(-t)
-    return e / (u * (1.0 + e))
+def _gauss_legendre(f, knots, panels: int = 1, max_width: float = math.inf) -> float:
+    """Integral of a vectorised f over [knots[0], knots[-1]] by the 32-node rule.
+
+    Each interval between consecutive knots is cut into equal panels: at
+    least `panels` of them, and enough that none is wider than `max_width`.
+    """
+    edges = [knots[0]]
+    for a, b in zip(knots, knots[1:]):
+        k = max(panels, math.ceil((b - a) / max_width))
+        edges += [a + (b - a) * i / k for i in range(1, k)] + [b]
+    lo = np.asarray(edges[:-1])[:, None]
+    half = 0.5 * (np.asarray(edges[1:])[:, None] - lo)
+    return float(np.sum(half * _GL_WEIGHTS * f(lo + half * (1.0 + _GL_NODES))))
 
 
 def _lambda_integral(lam: float) -> float:
     """integral_1^inf du/(u*(1+exp(lam*u))), truncated where the tail is tiny.
 
     The tail beyond U is below exp(-lam*U)/(lam*U), so U is doubled until
-    that bound drops under 1e-14 (comfortably below the 1e-12 target).
+    that bound drops under 1e-14 (comfortably below the 1e-12 target). In the
+    log variable u = e^s the integrand is 1/(1+exp(lam*e^s)); panels are at
+    most 2 wide and break at the logistic transition s = log(1/lam) and one
+    and two decades past it.
     """
     upper = 2.0
     while math.exp(-lam * upper) / (lam * upper) > 1e-14:
         upper *= 2.0
         if upper > 1e18:
             break
-    breaks = [b for b in (1.0 / lam, 10.0 / lam, 100.0 / lam) if 1.0 < b < upper]
-    val, _ = quad(
-        _lambda_integrand,
-        1.0,
-        upper,
-        args=(lam,),
-        points=breaks or None,
-        limit=400,
-        epsabs=1e-13,
-        epsrel=1e-12,
-    )
-    return float(val)
+    breaks = [math.log(b) for b in (1.0 / lam, 10.0 / lam, 100.0 / lam) if 1.0 < b < upper]
+    knots = [0.0, *breaks, math.log(upper)]
+    return _gauss_legendre(lambda s: _logistic(lam * np.exp(s)), knots, max_width=2.0)
 
 
 def continuous_lambda(x: float) -> float:
@@ -219,34 +233,16 @@ def continuous_lambda(x: float) -> float:
     return lam
 
 
-def _cx_integrand(y: float, lam: float) -> float:
-    if y <= 0.0:
-        return 0.0
-    t = lam / y
-    if t > 745.0:
-        return 0.0
-    p = 1.0 / (1.0 + math.exp(t))
-    return binary_entropy(p)
-
-
 def cx_constant(x: float) -> ContinuousConstants:
     """The exponent constant c_x: entropy of the limiting logistic profile."""
     x = float(x)
     lam = continuous_lambda(x)
-    breaks = sorted(
-        {b for b in (0.1 * lam, lam, 10.0 * lam, 100.0 * lam, 1000.0 * lam) if 0.0 < b < 1.0}
+    # Decade breakpoints from 0.1*lam up to 1 (lam >= 1e-12 needs k <= 12).
+    breaks = [b for b in (lam * 10.0**k for k in range(-1, 13)) if b < 1.0]
+    nats = _gauss_legendre(
+        lambda y: _entropy_nats(_logistic(lam / y)), [0.0, *breaks, 1.0], panels=4
     )
-    val, _ = quad(
-        _cx_integrand,
-        0.0,
-        1.0,
-        args=(lam,),
-        points=breaks or None,
-        limit=400,
-        epsabs=1e-12,
-        epsrel=1e-12,
-    )
-    c_x = float(val)
+    c_x = nats / math.log(2)
     if not 0.0 < c_x < 1.0:
         raise RuntimeError(f"c_x = {c_x} fell outside (0, 1); lambda = {lam}")
     return ContinuousConstants(x=x, lam=lam, c_x=c_x)

@@ -44,6 +44,13 @@ def _check_positive_int(value, name: str) -> int:
     return value
 
 
+def _frac_str(f: Fraction | None) -> str | None:
+    """A rational as its lossless "p/q" string (integers too: "1/1"); None stays None."""
+    if f is None:
+        return None
+    return f"{f.numerator}/{f.denominator}"
+
+
 def reciprocal_sum(elements: Iterable[int]) -> Fraction:
     """Exact sum of 1/m over distinct positive integers m."""
     items = [_check_positive_int(m, "element") for m in elements]

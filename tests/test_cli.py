@@ -7,11 +7,15 @@ of the record schema. Exit codes: 0 ok, 1 domain error, 2 usage, 3 budget.
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from argparse import ArgumentTypeError
 
+import egyfrac
 from egyfrac.absorption import replay_trace
 from egyfrac.cli import parse_rational, run, validate_record
 from egyfrac.modular import make_instance, residue_coverage
@@ -235,3 +239,38 @@ def test_validate_record_requires_command_keys():
 
 def test_version_flag_exits_zero(capsys):
     assert invoke(capsys, ["--version"])[0] == 0
+
+
+def test_parameters_render_rationals_as_p_over_q(capsys):
+    record = record_of(capsys, ["cx", "--x", "1"])
+    assert record["parameters"]["x"] == "1/1"
+    record = record_of(capsys, ["count", "--n", "6", "--x", "2/4"])
+    assert record["parameters"]["x"] == "1/2"
+
+
+def run_python(code, *argv):
+    src = str(Path(egyfrac.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cx", "--x", "1/1"], ["lambda", "--x", "1/1"], ["entropy", "--n", "1000", "--x", "1/1"]],
+)
+def test_commands_run_without_scipy(argv):
+    # a None entry in sys.modules makes any later "import scipy" fail
+    blocked = 'import sys; sys.modules["scipy"] = None; from egyfrac.cli import main; main()'
+    proc = run_python(blocked, *argv)
+    assert proc.returncode == 0, proc.stderr
+    validate_record(json.loads(proc.stdout))
+
+
+def test_cli_import_loads_no_scipy():
+    probe = "import sys, egyfrac.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = run_python(probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

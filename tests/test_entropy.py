@@ -8,6 +8,7 @@ limit at large n.
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -208,3 +209,62 @@ def test_discrete_profile_converges_to_continuous():
     prof = discrete_profile(50_000, 1.0)
     assert prof.c == pytest.approx(LAMBDA_1, abs=1e-4)
     assert prof.H / prof.n == pytest.approx(C_1, abs=1e-3)
+
+
+# _lambda_integral at lambdas the Simpson oracle cannot reach or resolve,
+# frozen from adaptive Gauss-Kronrod quadrature (scipy's quad). At lam = 100
+# quad itself is 4.5e-10 off in relative terms, so that value comes from the
+# exponential-integral series sum_k (-1)^(k+1) (E1(k*lam) - E1(2*k*lam)) of
+# the same integral truncated at u = 2, summed in 60-digit arithmetic.
+MASS_INTEGRAL_PINS = [
+    (1e-12, 13.752694078158482),
+    (1e-6, 6.844939049176097),
+    (1e-3, 3.3913111596780845),
+    (20.0, 9.835525269914422e-11),
+    (100.0, 3.683597761682032e-46),
+]
+
+# (x, lambda, c_x), frozen from the same adaptive quadrature.
+CONTINUOUS_PINS = [
+    (1 / 16, 1.759215094787089, 0.22919407260082525),
+    (1 / 4, 0.7880891177819929, 0.5407344216749848),
+    (1 / 2, 0.3949452993030961, 0.7430555168625983),
+    (1.0, 0.12719091512470715, 0.9111665894411178),
+    (2.0, 0.016285333641976773, 0.9883004419504484),
+    (4.0, 0.0002959011805060342, 0.9997865682069932),
+    (8.0, 9.924910748762745e-08, 0.9999999284069047),
+]
+
+
+@pytest.mark.parametrize("lam,value", MASS_INTEGRAL_PINS)
+def test_mass_integral_pinned_across_bracket(lam, value):
+    assert _lambda_integral(lam) == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("x,lam,c_x", CONTINUOUS_PINS)
+def test_lambda_and_cx_pinned(x, lam, c_x):
+    consts = cx_constant(x)
+    assert consts.lam == pytest.approx(lam, rel=1e-14, abs=0.0)
+    assert continuous_lambda(x) == consts.lam
+    assert consts.c_x == pytest.approx(c_x, rel=1e-11, abs=0.0)
+
+
+def test_cx_defined_across_the_bracket():
+    # down to x = 1e-30 (lambda near 65), where exp(lambda/y) overflows a float
+    xs = np.logspace(-30, 1.13, 40)
+    vals = [cx_constant(x).c_x for x in xs]
+    assert all(0.0 < v < 1.0 for v in vals)
+    assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def test_profile_entropy_with_underflowed_entries():
+    # c*n/m exceeds 745 at m = 1, where exp(-c*n/m) underflows
+    n, x = 1000, 0.25
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = discrete_profile(n, x)
+    assert prof.c * n > 745.0
+    assert prof.p[0] == 0.0
+    assert math.isfinite(prof.H)
+    direct = sum(binary_entropy(float(pm)) for pm in prof.p)
+    assert prof.H == pytest.approx(direct, rel=1e-12)
