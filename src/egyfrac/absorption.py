@@ -14,7 +14,9 @@ Stages, each exact-rational end to end:
     is strictly below q, so the sweep terminates.
 3.  The final remainder x_f has denominator dividing K = lcm(prime powers
     <= L); finish exactly inside the reserved multiples of K by writing
-    K * x_f as a sum of distinct reciprocals from [1, n // K].
+    K * x_f as a sum of distinct reciprocals from [1, n // K]. The search
+    is egyfrac.counting.reciprocal_subsets, the exact-subset walk that
+    also lists representations.
 
 Element disjointness across stages is enforced by a shared used-set: the
 reservoir never appears in stage 1 or 2, and stage 2 consults the used-set
@@ -23,7 +25,6 @@ before taking any multiple.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,6 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .counting import reciprocal_subsets
 from .entropy import EntropyProfile, discrete_profile
 from .exactmath import (
     _frac_str,
@@ -218,10 +220,10 @@ def sample_base_set(config: AbsorptionConfig, attempt: int = 0) -> tuple[int, ..
     raise RuntimeError("base-set sampling failed the mass bound 200 times in a row")
 
 
-def _excess_prime_powers(v: int, primes: Sequence[int], L: int) -> list[int]:
-    """Maximal prime powers of v that exceed L, descending."""
-    parts = [p**a for p, a in factor_bounded(v, primes)]
-    return sorted((q for q in parts if q > L), reverse=True)
+def _excess_prime_powers(v: int, primes: Sequence[int], L: int) -> list[tuple[int, int]]:
+    """(p, q) for each maximal prime power q = p**a of v above L, q descending."""
+    parts = [(p, p**a) for p, a in factor_bounded(v, primes)]
+    return sorted(((p, q) for p, q in parts if q > L), key=lambda pq: pq[1], reverse=True)
 
 
 def cancel_prime_powers(
@@ -245,7 +247,7 @@ def cancel_prime_powers(
         excess = _excess_prime_powers(x_i.denominator, config.primes, config.L)
         if not excess:
             break
-        q = excess[0]
+        p, q = excess[0]
         if prev_q is not None and q >= prev_q:
             raise RuntimeError(f"prime-power sweep failed to descend: {q} after {prev_q}")
         prev_q = q
@@ -277,26 +279,13 @@ def cancel_prime_powers(
             )
 
         x_next = x_i - mass
-        p_root = _prime_root(q)
-        if x_next <= 0 or x_next.denominator % p_root == 0:
-            raise RuntimeError(f"cancellation step for q={q} failed to clear prime {p_root}")
+        if x_next <= 0 or x_next.denominator % p == 0:
+            raise RuntimeError(f"cancellation step for q={q} failed to clear prime {p}")
         taken.update(q * b for b in chosen)
         steps.append(AbsorptionStep(q=q, cofactors=tuple(chosen), x_after=x_next))
         x_i = x_next
 
     return steps, x_i
-
-
-def _prime_root(q: int) -> int:
-    for p in (2, 3, 5, 7):
-        if q % p == 0:
-            return p
-    p = 11
-    while p * p <= q:
-        if q % p == 0:
-            return p
-        p += 2
-    return q
 
 
 def reservoir_decompose(
@@ -307,10 +296,9 @@ def reservoir_decompose(
 ) -> tuple[int, ...] | None:
     """Indices D within [1, n // K] with sum(1/d) = K * x_f exactly, or None.
 
-    Branch and bound over indices in increasing order (largest reciprocal
-    first): include an index when it fits, prune when the remaining tail
-    mass cannot cover the remainder. Greedy-first descent finds typical
-    targets quickly; the node budget bounds pathological searches.
+    D is the first subset reciprocal_subsets finds within node_budget
+    nodes. Its greedy-first descent (largest reciprocal first) finds
+    typical targets quickly; the node budget bounds pathological searches.
     """
     x_f = Fraction(x_f)
     if x_f < 0:
@@ -318,48 +306,11 @@ def reservoir_decompose(
     goal = x_f * config.K
     if goal.denominator != 1:
         raise ValueError(f"K * x_f = {goal} is not an integer; cancellation is incomplete")
-    if goal == 0:
-        return ()
     top = config.n // config.K
-    avail = sorted(set(available)) if available is not None else list(range(1, top + 1))
+    avail = sorted(set(available)) if available is not None else range(1, top + 1)
     if avail and (avail[0] < 1 or avail[-1] > top):
         raise ValueError(f"available indices must lie in [1, {top}]")
-    count = len(avail)
-    tails = [Fraction(0)] * (count + 1)
-    for i in range(count - 1, -1, -1):
-        tails[i] = tails[i + 1] + Fraction(1, avail[i])
-
-    out: list[int] = []
-    nodes = 0
-    limit_hit = False
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, count + 200))
-
-    def walk(i: int, rem: Fraction) -> bool:
-        nonlocal nodes, limit_hit
-        if rem == 0:
-            return True
-        if i == count or tails[i] < rem:
-            return False
-        nodes += 1
-        if nodes > node_budget:
-            limit_hit = True
-            return False
-        d = avail[i]
-        if Fraction(1, d) <= rem:
-            out.append(d)
-            if walk(i + 1, rem - Fraction(1, d)):
-                return True
-            out.pop()
-            if limit_hit:
-                return False
-        return walk(i + 1, rem)
-
-    try:
-        found = walk(0, Fraction(goal))
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return tuple(out) if found else None
+    return next(reciprocal_subsets(avail, goal, node_budget), None)
 
 
 def verify_representation(elements: Iterable[int], n: int, x) -> bool:

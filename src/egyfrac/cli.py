@@ -173,36 +173,19 @@ def _cmd_simulate(args, deadline: float | None) -> dict:
         raise ValueError("--trials must be >= 1")
     prof = discrete_profile(args.n, float(args.x))
     moments = model_moments(prof)
-    batch = 1024
-    done = 0
-    hits = 0.0
-    fallbacks = 0
-    truncated = False
-    while done < args.trials:
-        if deadline is not None and time.monotonic() > deadline:
-            truncated = True
-            break
-        step = min(batch, args.trials - done)
-        part = estimate_prob_at_most(prof, args.x, step, args.seed, trial_offset=done)
-        hits += part.estimate * step
-        fallbacks += part.exact_fallbacks
-        done += step
-    if done == 0:
-        raise ValueError("budget too small to run any trials")
-    phat = hits / done
-    stderr = (phat * (1 - phat) / done) ** 0.5
+    est = estimate_prob_at_most(prof, args.x, args.trials, args.seed, deadline=deadline)
     out = {
         "n": args.n,
         "x": _frac_str(args.x),
-        "trials": done,
+        "trials": est.trials,
         "seed": args.seed,
         "mean": moments.mean,
         "variance": moments.variance,
-        "estimate": phat,
-        "stderr": stderr,
-        "exact_fallbacks": fallbacks,
+        "estimate": est.estimate,
+        "stderr": est.stderr,
+        "exact_fallbacks": est.exact_fallbacks,
     }
-    if truncated:
+    if est.trials < args.trials:
         out["truncated"] = True
     return out
 

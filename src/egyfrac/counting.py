@@ -9,6 +9,13 @@ oracles for each other:
 
 Both count subsets A of {1..n} with sum of 1/a equal to x (mode "exact") or
 at most x (mode "atmost", boundary ties included).
+
+reciprocal_subsets lists the subsets whose reciprocals sum exactly to x; it
+serves enumerate_representations here and the reservoir stage of
+egyfrac.absorption. count_brute does not reuse it: as an oracle for
+count_mitm it must stay independent, and its mode "atmost" shortcut (count
+a whole 2**k block once the tail fits) would make the shared walk branch on
+which caller it serves.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice
+from typing import Iterator, Sequence
 
 from .exactmath import lcm_range
 
@@ -39,6 +48,7 @@ __all__ = [
     "count_brute",
     "count_mitm",
     "enumerate_representations",
+    "reciprocal_subsets",
 ]
 
 
@@ -153,14 +163,59 @@ def count_mitm(query: CountQuery, cap: int = MITM_CAP) -> CountResult:
     return CountResult(query, count, "mitm", time.perf_counter() - start)
 
 
+def reciprocal_subsets(
+    denoms: Sequence[int], x: Fraction, node_budget: int | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Yield the subsets of `denoms` whose reciprocals sum exactly to x.
+
+    `denoms` must be ascending distinct positive integers. Subsets come out
+    as ascending tuples in lexicographic order, from an include-first
+    depth-first walk on an explicit stack. Pruning is exact: an element is
+    skipped when its reciprocal overshoots the remainder, and a branch stops
+    when the whole tail cannot reach the remainder. A node is a state with a
+    non-zero remainder, elements left and enough tail mass to cover the
+    remainder; the walk stops for good once it has used more than
+    `node_budget` nodes.
+    """
+    x = Fraction(x)
+    if x == 0:
+        yield ()
+        return
+    rec = [Fraction(1, d) for d in denoms]
+    tails = list(accumulate(reversed(rec), initial=Fraction(0)))[::-1]
+    if not 0 < x <= tails[0]:
+        return
+    chosen: list[int] = []
+    # (index, remainder, len(chosen) on entry); every entry already passed
+    # the tail test, and the chosen prefixes of the entries nest.
+    stack = [(0, x, 0)]
+    nodes = 0
+    while stack:
+        i, rem, k = stack.pop()
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            return
+        del chosen[k:]
+        if tails[i + 1] >= rem:
+            stack.append((i + 1, rem, k))
+        r = rec[i]
+        if r <= rem:
+            chosen.append(denoms[i])
+            rest = rem - r
+            if rest:
+                # including keeps the tail test: tails[i + 1] >= rem - r
+                stack.append((i + 1, rest, k + 1))
+            else:
+                yield tuple(chosen)
+
+
 def enumerate_representations(
     n: int, x: Fraction, limit: int, cap: int = ENUM_CAP
 ) -> list[tuple[int, ...]]:
     """Up to `limit` subsets of [1, n] with reciprocal sum exactly x.
 
-    Results come out in lexicographic order of the sorted element tuples.
-    Pruning is exact: a branch dies when its partial sum exceeds x or when
-    even taking the whole tail cannot reach x.
+    Results come out in lexicographic order of the sorted element tuples
+    (see reciprocal_subsets).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -171,30 +226,4 @@ def enumerate_representations(
     x = Fraction(x)
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    rec = [Fraction(1, m) for m in range(1, n + 1)]
-    suffix = [Fraction(0)] * (n + 2)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + rec[i]
-    out: list[tuple[int, ...]] = []
-
-    def walk(start: int, s: Fraction, chosen: list[int]) -> None:
-        if len(out) >= limit:
-            return
-        if s == x:
-            out.append(tuple(chosen))
-            return
-        for m in range(start, n + 1):
-            ns = s + rec[m - 1]
-            if ns > x:
-                continue
-            if ns + suffix[m] < x:
-                break
-            chosen.append(m)
-            walk(m + 1, ns, chosen)
-            chosen.pop()
-            if len(out) >= limit:
-                return
-
-    if limit > 0:
-        walk(1, Fraction(0), [])
-    return out
+    return list(islice(reciprocal_subsets(range(1, n + 1), x), limit))

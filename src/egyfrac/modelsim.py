@@ -11,6 +11,7 @@ change any outcome.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -107,7 +108,12 @@ def sample_z_values(profile: EntropyProfile, trials: int, seed: int) -> np.ndarr
 
 
 def estimate_prob_at_most(
-    profile: EntropyProfile, x: Fraction, trials: int, seed: int, trial_offset: int = 0
+    profile: EntropyProfile,
+    x: Fraction,
+    trials: int,
+    seed: int,
+    trial_offset: int = 0,
+    deadline: float | None = None,
 ) -> ProbEstimate:
     """Monte Carlo estimate of Pr[Z <= x] with a binomial standard error.
 
@@ -115,7 +121,9 @@ def estimate_prob_at_most(
     band around the threshold, where the trial is replayed and the subset
     sum is recomputed exactly, so rational thresholds are never misjudged
     by rounding. Trial t draws with key (seed, trial_offset + t), so a run
-    split into batches reproduces the unbatched run.
+    split into batches reproduces the unbatched run. Past a deadline
+    (time.monotonic value) no new trial starts; the result's `trials` says
+    how many ran, and a ValueError is raised when none did.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -126,7 +134,11 @@ def estimate_prob_at_most(
     inv = 1.0 / np.arange(1, profile.n + 1, dtype=np.float64)
     hits = 0
     fallbacks = 0
+    ran = 0
     for t in range(trial_offset, trial_offset + trials):
+        if deadline is not None and time.monotonic() > deadline:
+            break
+        ran += 1
         u = _trial_uniforms(seed, t, profile.n)
         included = u < profile.p
         z = float(np.dot(included, inv))
@@ -137,8 +149,10 @@ def estimate_prob_at_most(
                 hits += 1
         elif z <= xf:
             hits += 1
-    phat = hits / trials
-    stderr = math.sqrt(phat * (1.0 - phat) / trials)
+    if ran == 0:
+        raise ValueError("budget too small to run any trials")
+    phat = hits / ran
+    stderr = math.sqrt(phat * (1.0 - phat) / ran)
     return ProbEstimate(
-        estimate=phat, stderr=stderr, trials=trials, seed=seed, exact_fallbacks=fallbacks
+        estimate=phat, stderr=stderr, trials=ran, seed=seed, exact_fallbacks=fallbacks
     )

@@ -5,6 +5,7 @@ back as JSON and re-validated, so every test doubles as a round-trip check
 of the record schema. Exit codes: 0 ok, 1 domain error, 2 usage, 3 budget.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -18,6 +19,8 @@ from argparse import ArgumentTypeError
 import egyfrac
 from egyfrac.absorption import replay_trace
 from egyfrac.cli import parse_rational, run, validate_record
+from egyfrac.entropy import discrete_profile
+from egyfrac.modelsim import estimate_prob_at_most
 from egyfrac.modular import make_instance, residue_coverage
 
 TIMESTAMP_KEYS = ("started", "finished", "elapsed")
@@ -274,3 +277,34 @@ def test_cli_import_loads_no_scipy():
     proc = run_python(probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_simulate_record_matches_library(capsys):
+    # 2500 is not a multiple of any batch size the estimator might use
+    record = record_of(
+        capsys, ["simulate", "--n", "300", "--x", "1/1", "--trials", "2500", "--seed", "5"]
+    )
+    est = estimate_prob_at_most(discrete_profile(300, 1.0), Fraction(1), 2500, 5)
+    assert record["trials"] == 2500
+    assert "truncated" not in record
+    assert record["estimate"] == est.estimate
+    assert record["stderr"] == est.stderr
+    assert record["exact_fallbacks"] == est.exact_fallbacks
+
+
+def test_simulate_budget_is_checked_before_every_trial(capsys, monkeypatch):
+    # each clock read advances one second: the CLI reads it once to set the
+    # deadline, then the estimator reads it once before each trial
+    k = 7
+    clock = itertools.count()
+    monkeypatch.setattr("egyfrac.modelsim.time.monotonic", lambda: float(next(clock)))
+    argv = ["simulate", "--n", "300", "--x", "1/1", "--trials", "50", "--seed", "5"]
+    code, out, _ = invoke(capsys, argv + ["--budget", str(k)])
+    assert code == 3
+    record = json.loads(out)
+    validate_record(record)
+    assert record["truncated"] is True
+    assert record["trials"] == k
+    est = estimate_prob_at_most(discrete_profile(300, 1.0), Fraction(1), k, 5)
+    assert record["estimate"] == est.estimate
+    assert record["stderr"] == est.stderr

@@ -7,6 +7,8 @@ counters must agree with it and with each other.
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -18,6 +20,7 @@ from egyfrac.counting import (
     count_brute,
     count_mitm,
     enumerate_representations,
+    reciprocal_subsets,
 )
 from egyfrac.exactmath import harmonic, reciprocal_sum
 
@@ -173,3 +176,32 @@ def test_enumerate_validation():
         enumerate_representations(5, Fraction(1), -1)
     with pytest.raises(ValueError, match="cap"):
         enumerate_representations(50, Fraction(1), 5)
+
+
+def test_reciprocal_subsets_match_combinations_oracle():
+    rng = random.Random(404)
+    for _ in range(60):
+        # half the ground sets lie in [1, 18], where equal subset sums are common
+        ground = sorted(rng.sample(range(1, rng.choice((19, 41))), rng.randint(0, 14)))
+        # exact subset sums, scaled by the lcm of the ground set to integers
+        scale = lcm(*ground)
+        sums = {
+            c: sum(scale // d for d in c)
+            for k in range(len(ground) + 1)
+            for c in combinations(ground, k)
+        }
+        targets = [reciprocal_sum(rng.sample(ground, rng.randint(0, len(ground)))) for _ in range(3)]
+        targets += [Fraction(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(2)]
+        for x in targets:
+            scaled = x * scale
+            want = sorted(c for c, s in sums.items() if s == scaled)
+            got = list(reciprocal_subsets(ground, x))
+            assert got == want
+            assert list(reciprocal_subsets(ground, x, node_budget=0)) == ([()] if x == 0 else [])
+            for budget in (1, 5, 50):
+                cut = list(reciprocal_subsets(ground, x, node_budget=budget))
+                assert cut == got[: len(cut)]
+    # a node is a state the walk expands; reaching 1/2 + 1/3 + 1/6 takes five:
+    # the root, then remainders 1/2, 1/6 (4 skipped), 1/6 (5 skipped), 1/6
+    assert list(reciprocal_subsets(range(2, 7), Fraction(1), node_budget=4)) == []
+    assert list(reciprocal_subsets(range(2, 7), Fraction(1), node_budget=5)) == [(2, 3, 6)]
