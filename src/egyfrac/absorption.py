@@ -44,6 +44,7 @@ from .exactmath import (
     primes_upto,
     reciprocal_sum,
 )
+from .modelsim import _trial_rng
 from .modular import iter_solutions, make_instance, mod_inverse
 
 __all__ = [
@@ -209,8 +210,7 @@ def sample_base_set(config: AbsorptionConfig, attempt: int = 0) -> tuple[int, ..
     target = (1 - config.eta) * config.x
     members = np.asarray(config.universe, dtype=np.int64)
     p = config.base_profile.p[members - 1]
-    key = np.array([config.seed, attempt], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = _trial_rng(config.seed, attempt)
     for _ in range(200):
         u = rng.random(members.size)
         chosen = members[u < p]
@@ -267,7 +267,7 @@ def cancel_prime_powers(
         chosen = None
         mass = None
         for cand in iter_solutions(instance, target, limit=config.alt_limit):
-            cand_mass = sum(Fraction(1, q * b) for b in cand)
+            cand_mass = reciprocal_sum(q * b for b in cand)
             if cand_mass < x_i:
                 chosen, mass = cand, cand_mass
                 break

@@ -1,22 +1,26 @@
-"""Exact rational arithmetic over unit fractions, plus prime-power sieves.
+"""Exact rational arithmetic over unit fractions, plus a prime sieve.
 
 Everything in this module is integer-exact. Reciprocal sums are held as
 `fractions.Fraction` values so that equality against a target is a true
-equality, never a tolerance check. The sieve side provides smallest-prime-
-factor factorization and the powersmooth predicate: m is t-powersmooth when
-every maximal prime power p**a dividing m is at most t.
+equality, never a tolerance check. Every exact sum of unit fractions in the
+package goes through one kernel, `reciprocal_sum`, and every prime list
+comes from one sieve, `FactorSieve`'s smallest-prime-factor table. m is
+t-powersmooth when every maximal prime power p**a dividing m is at most t.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, log
+from math import isqrt, log
 from typing import Iterable, Sequence
 
 import numpy as np
 
 # Exact rationals are stdlib fractions: normalized num/den, den >= 1, gcd 1.
 Rational = Fraction
+
+# Elements per leaf of reciprocal_sum; bounds a leaf's unreduced denominator.
+_LEAF = 64
 
 __all__ = [
     "Rational",
@@ -52,43 +56,37 @@ def _frac_str(f: Fraction | None) -> str | None:
 
 
 def reciprocal_sum(elements: Iterable[int]) -> Fraction:
-    """Exact sum of 1/m over distinct positive integers m."""
+    """Exact sum of 1/m over distinct positive integers m.
+
+    Leaves of _LEAF consecutive elements are folded as unreduced integer
+    pairs and reduced once, then merged pairwise so operands stay balanced.
+    """
     items = [_check_positive_int(m, "element") for m in elements]
     if len(set(items)) != len(items):
         raise ValueError("elements must be distinct")
-    total = Fraction(0)
-    for m in items:
-        total += Fraction(1, m)
-    return total
+    parts = []
+    for i in range(0, len(items), _LEAF):
+        num, den = 0, 1
+        for m in items[i : i + _LEAF]:
+            num, den = num * m + den, den * m
+        parts.append(Fraction(num, den))
+    while len(parts) > 1:
+        merged = [a + b for a, b in zip(parts[::2], parts[1::2])]
+        parts = merged + parts[len(merged) * 2 :]
+    return parts[0] if parts else Fraction(0)
 
 
 def harmonic(n: int) -> Fraction:
-    """H(n) = 1 + 1/2 + ... + 1/n, exactly.
-
-    Balanced merging keeps intermediate denominators small, which is much
-    faster than a left fold once n reaches the thousands.
-    """
+    """H(n) = 1 + 1/2 + ... + 1/n, exactly."""
     n = _check_positive_int(n, "n")
-
-    def merge(lo: int, hi: int) -> Fraction:
-        if lo == hi:
-            return Fraction(1, lo)
-        mid = (lo + hi) // 2
-        return merge(lo, mid) + merge(mid + 1, hi)
-
-    return merge(1, n)
+    return reciprocal_sum(range(1, n + 1))
 
 
 def primes_upto(n: int) -> list[int]:
-    """All primes <= n via a plain byte sieve."""
+    """All primes <= n, read from the smallest-prime-factor sieve."""
     if n < 2:
         return []
-    flags = bytearray([1]) * (n + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i in range(2, n + 1) if flags[i]]
+    return FactorSieve(n).primes()
 
 
 def lcm_range(n: int) -> int:
@@ -110,7 +108,8 @@ class FactorSieve:
         if limit < 2:
             raise ValueError(f"sieve limit must be >= 2, got {limit}")
         self.limit = int(limit)
-        spf = np.arange(self.limit + 1, dtype=np.int64)
+        # The narrowest unsigned type holding 0..limit: 4 bytes an entry at 1e6, not 8.
+        spf = np.arange(self.limit + 1, dtype=np.min_scalar_type(self.limit))
         for p in range(2, isqrt(self.limit) + 1):
             if spf[p] == p:
                 block = spf[p * p :: p]
@@ -142,8 +141,8 @@ class FactorSieve:
         return [p**a for p, a in self.factor(m)]
 
     def primes(self) -> list[int]:
-        idx = np.arange(2, self.limit + 1)
-        return [int(p) for p in idx[self.spf[2:] == idx]]
+        idx = np.arange(2, self.limit + 1, dtype=self.spf.dtype)
+        return (np.flatnonzero(self.spf[2:] == idx) + 2).tolist()
 
 
 def _trial_division_parts(m: int) -> list[int]:
@@ -188,9 +187,10 @@ def max_prime_power_table(n: int) -> np.ndarray:
     over the maximal prime-power divisors.
     """
     n = _check_positive_int(n, "n")
+    primes = primes_upto(n)  # before the table, so the sieve is freed first
     table = np.ones(n + 1, dtype=np.int64)
     table[0] = 0
-    for p in primes_upto(n):
+    for p in primes:
         pk = p
         while pk <= n:
             block = table[pk::pk]

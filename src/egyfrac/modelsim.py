@@ -79,16 +79,16 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
-def _trial_uniforms(seed: int, trial: int, n: int) -> np.ndarray:
+def _trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """The Philox generator keyed (seed, trial): trial t's stream in isolation."""
     key = np.array([seed, trial], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random(n)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_model(profile: EntropyProfile, seed: int) -> ModelSample:
     """One subset drawn from the model, with its exact rational sum."""
     seed = _check_seed(seed)
-    u = _trial_uniforms(seed, 0, profile.n)
+    u = _trial_rng(seed, 0).random(profile.n)
     idx = np.flatnonzero(u < profile.p) + 1
     subset = tuple(int(i) for i in idx)
     return ModelSample(subset=subset, z=reciprocal_sum(subset))
@@ -102,7 +102,7 @@ def sample_z_values(profile: EntropyProfile, trials: int, seed: int) -> np.ndarr
     inv = 1.0 / np.arange(1, profile.n + 1, dtype=np.float64)
     out = np.empty(trials, dtype=np.float64)
     for t in range(trials):
-        u = _trial_uniforms(seed, t, profile.n)
+        u = _trial_rng(seed, t).random(profile.n)
         out[t] = np.dot(u < profile.p, inv)
     return out
 
@@ -112,7 +112,6 @@ def estimate_prob_at_most(
     x: Fraction,
     trials: int,
     seed: int,
-    trial_offset: int = 0,
     deadline: float | None = None,
 ) -> ProbEstimate:
     """Monte Carlo estimate of Pr[Z <= x] with a binomial standard error.
@@ -120,8 +119,8 @@ def estimate_prob_at_most(
     The comparison is decided in float arithmetic except within a narrow
     band around the threshold, where the trial is replayed and the subset
     sum is recomputed exactly, so rational thresholds are never misjudged
-    by rounding. Trial t draws with key (seed, trial_offset + t), so a run
-    split into batches reproduces the unbatched run. Past a deadline
+    by rounding. Trial t draws with key (seed, t), so a shorter run counts
+    exactly the first trials of a longer one. Past a deadline
     (time.monotonic value) no new trial starts; the result's `trials` says
     how many ran, and a ValueError is raised when none did.
     """
@@ -135,11 +134,11 @@ def estimate_prob_at_most(
     hits = 0
     fallbacks = 0
     ran = 0
-    for t in range(trial_offset, trial_offset + trials):
+    for t in range(trials):
         if deadline is not None and time.monotonic() > deadline:
             break
         ran += 1
-        u = _trial_uniforms(seed, t, profile.n)
+        u = _trial_rng(seed, t).random(profile.n)
         included = u < profile.p
         z = float(np.dot(included, inv))
         if abs(z - xf) <= band:

@@ -1,13 +1,14 @@
 """Exact arithmetic and sieve tests.
 
-Cross-checks pair independent implementations: harmonic vs a reciprocal
-fold, the running-max prime-power table vs per-element factorization, and
-the numpy smallest-prime-factor sieve vs plain trial division.
+Cross-checks pair independent implementations: the merged reciprocal sum
+vs an lcm-scaled integer sum, the running-max prime-power table vs
+per-element factorization, and the numpy smallest-prime-factor sieve vs
+plain trial division.
 """
 
 import random
 from fractions import Fraction
-from math import gcd, log
+from math import gcd, isqrt, lcm, log
 
 import pytest
 
@@ -56,6 +57,30 @@ def test_reciprocal_sum_is_order_independent():
         assert reciprocal_sum(items) == reciprocal_sum(shuffled)
 
 
+def _lcm_scaled_sum(items):
+    big = lcm(*items)
+    return Fraction(sum(big // m for m in items), big)
+
+
+@pytest.mark.parametrize("size", [0, 1, 63, 64, 65, 128, 129, 2000])
+def test_reciprocal_sum_matches_lcm_oracle(size):
+    rng = random.Random(size)
+    start = rng.randrange(1, 500)
+    dense = list(range(start, start + size))
+    sparse = rng.sample(range(1, 20_001), size)
+    shuffled = dense[:]
+    rng.shuffle(shuffled)
+    for items in (dense, dense[::-1], shuffled, sparse, sorted(sparse)):
+        assert reciprocal_sum(items) == _lcm_scaled_sum(items)
+    if size:
+        with pytest.raises(ValueError):
+            reciprocal_sum(sparse + [sparse[-1]])
+        with pytest.raises(ValueError):
+            reciprocal_sum(sparse[:-1] + [0])
+        with pytest.raises(ValueError):
+            reciprocal_sum([-sparse[0]] + sparse[1:])
+
+
 def test_harmonic_small_values():
     assert harmonic(1) == Fraction(1)
     assert harmonic(2) == Fraction(3, 2)
@@ -77,6 +102,16 @@ def test_primes_upto():
     assert primes_upto(2) == [2]
     assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(primes_upto(10_000)) == 1229
+
+
+def test_primes_upto_matches_trial_division():
+    def is_prime(m):
+        return m >= 2 and all(m % d for d in range(2, isqrt(m) + 1))
+
+    # 255 and 256 straddle the sieve's switch from 8-bit to 16-bit entries
+    spread = [5, 9, 10, 48, 49, 97, 100, 121, 255, 256, 257, 1024, 2003, 3000]
+    for n in list(range(5)) + spread:
+        assert primes_upto(n) == [m for m in range(n + 1) if is_prime(m)]
 
 
 def test_lcm_range_known_values():

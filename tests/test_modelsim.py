@@ -117,9 +117,12 @@ def test_estimate_batching_is_invisible():
     prof = discrete_profile(80, 1.0)
     whole = estimate_prob_at_most(prof, Fraction(1), 600, seed=17)
     first = estimate_prob_at_most(prof, Fraction(1), 250, seed=17)
-    second = estimate_prob_at_most(prof, Fraction(1), 350, seed=17, trial_offset=250)
-    merged = (first.estimate * 250 + second.estimate * 350) / 600
-    assert merged == pytest.approx(whole.estimate, abs=1e-15)
+    # sample_z_values keys trial t as (seed, t) too, so its Z values decide
+    # each trial's hit; the shorter run's hits are a prefix of the longer's
+    hits = sample_z_values(prof, 600, seed=17) <= 1.0
+    assert whole.exact_fallbacks == 0
+    assert whole.estimate == hits.sum() / 600
+    assert first.estimate == hits[:250].sum() / 250
     again = estimate_prob_at_most(prof, Fraction(1), 600, seed=17)
     assert again.estimate == whole.estimate
     assert again.exact_fallbacks == whole.exact_fallbacks
