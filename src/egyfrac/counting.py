@@ -4,8 +4,13 @@ Two independent routes are kept deliberately separate so they can serve as
 oracles for each other:
 
 * count_brute walks the subset tree with Fraction partial sums, and
-* count_mitm scales everything by lcm(1..n) and meets in the middle over
-  integer subset sums.
+* count_mitm scales everything to integers and meets in the middle over
+  integer subset sums. In mode "exact" it first eliminates top-prime-power
+  blocks: the multiples of a top power p**k <= n of a prime p can only be
+  used as a block whose reciprocals sum to 0 mod p (taken from
+  egyfrac.modular), so it meets in the middle over those blocks and the
+  remaining single elements. Mode "atmost" has no such lemma and meets in
+  the middle over all of [1, n].
 
 Both count subsets A of {1..n} with sum of 1/a equal to x (mode "exact") or
 at most x (mode "atmost", boundary ties included).
@@ -26,9 +31,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
+from math import lcm
+from operator import mul
 from typing import Iterator, Sequence
 
-from .exactmath import lcm_range
+from .exactmath import primes_upto
+from .modular import iter_solutions, make_instance
 
 MODE_EXACT = "exact"
 MODE_AT_MOST = "atmost"
@@ -118,20 +126,71 @@ def count_brute(query: CountQuery, cap: int = BRUTE_CAP) -> CountResult:
     return CountResult(query, count, "brute", time.perf_counter() - start)
 
 
-def _subset_sums(weights: list[int]) -> list[int]:
+def _block_groups(n: int, den: int) -> list[list[tuple[int, ...]]]:
+    """[1, n] as option groups for an exact count of a target with denominator den.
+
+    A group lists its non-empty options as element tuples; the empty option
+    is implicit. An eligible prime's top power q = p**k (q <= n < q*p, q not
+    dividing den) makes one group of its multiples jq, whose options are the
+    blocks with sum of 1/j = 0 (mod p); every other element is a singleton
+    group. Groups appear in the order of their smallest elements, and a
+    group with no admissible non-empty block is left out.
+    """
+    blocks: dict[int, list[tuple[int, ...]]] = {}
+    grouped: set[int] = set()
+    for p in primes_upto(n):
+        q = p
+        while q * p <= n:
+            q *= p
+        if den % q:
+            top = n // q
+            found = iter_solutions(make_instance(p, range(1, top + 1), top), 0)
+            blocks[q] = [tuple(j * q for j in block) for block in found if block]
+            grouped.update(range(q, n + 1, q))
+    groups = []
+    for m in range(1, n + 1):
+        if m in blocks:
+            groups.append(blocks[m])
+        elif m not in grouped:
+            groups.append([(m,)])
+    return [group for group in groups if group]
+
+
+def _subset_sums(groups: list[list[int]]) -> list[int]:
+    """Every sum taking at most one option weight from each group.
+
+    The empty option (weight 0) is implicit, so a singleton group [w] is the
+    plain include-or-skip step of a subset-sum list.
+    """
     sums = [0]
-    for w in weights:
-        sums += [s + w for s in sums]
+    for options in groups:
+        sums += [s + w for w in options for s in sums]
     return sums
 
 
 def count_mitm(query: CountQuery, cap: int = MITM_CAP) -> CountResult:
     """Meet-in-the-middle count over reciprocals scaled to integers.
 
-    With L = lcm(1..n) every subset sum becomes an integer k/L, so mode
-    "exact" is a hash join between the two halves of [1, n] and mode
-    "atmost" is a prefix count against the sorted right half. Python
-    integers keep the scaled sums exact at any n the cap allows.
+    Mode "exact" first eliminates top-prime-power blocks. Let p be a prime
+    with top power q = p**k <= n < q*p that does not divide den(x), so
+    v_p(x) >= -(k-1). Every a in [1, n] that q does not divide has
+    v_p(1/a) >= -(k-1). For a representation A, let J hold the j with jq in
+    A (so j <= n//q < p). Then (1/q) * sum_{j in J} 1/j equals x minus the
+    other reciprocals in A, whose valuation is >= -(k-1); hence
+    sum_{j in J} 1/j has v_p >= 1, i.e. it is 0 mod p. So the multiples of q
+    form one group whose options are these blocks J (modular.iter_solutions,
+    the empty block included), and every other element is a singleton group.
+    The groups are disjoint: if p**k * r**m <= n for primes p != r, then
+    p**k <= n / r**m < r and likewise r**m < p, which cannot both hold.
+    The lemma needs equality, so mode "atmost" keeps every element a
+    singleton group.
+
+    With L the lcm of the elements left in some option, every option weight
+    becomes an integer multiple of 1/L. The groups are cut into two runs of
+    near-equal option-count product and each run's sums are listed: mode
+    "exact" is a hash join between the two lists and mode "atmost" is a
+    prefix count against the sorted right list. Python integers keep the
+    scaled sums exact at any n the cap allows.
     """
     if query.n > cap:
         raise ValueError(
@@ -140,9 +199,15 @@ def count_mitm(query: CountQuery, cap: int = MITM_CAP) -> CountResult:
         )
     start = time.perf_counter()
     n, x, mode = query.n, query.x, query.mode
-    scale = lcm_range(n)
-    weights = [scale // m for m in range(1, n + 1)]
-    half = n // 2
+    if mode == MODE_EXACT:
+        groups = _block_groups(n, x.denominator)
+    else:
+        groups = [[(m,)] for m in range(1, n + 1)]
+    scale = lcm(*(m for group in groups for option in group for m in option))
+    weights = [[sum(scale // m for m in option) for option in group] for group in groups]
+    # The cut minimising the total half-list length, the earliest on ties.
+    sizes = list(accumulate((len(group) + 1 for group in groups), mul, initial=1))
+    half = min(range(len(sizes)), key=lambda i: sizes[i] + sizes[-1] // sizes[i])
     left = _subset_sums(weights[:half])
     right = _subset_sums(weights[half:])
 

@@ -140,9 +140,13 @@ class FactorSieve:
         """Maximal prime-power divisors p**a of m, ascending by prime."""
         return [p**a for p, a in self.factor(m)]
 
-    def primes(self) -> list[int]:
+    def prime_array(self) -> np.ndarray:
+        """The primes up to `limit`, ascending, as a numpy integer array."""
         idx = np.arange(2, self.limit + 1, dtype=self.spf.dtype)
-        return (np.flatnonzero(self.spf[2:] == idx) + 2).tolist()
+        return np.flatnonzero(self.spf[2:] == idx) + 2
+
+    def primes(self) -> list[int]:
+        return self.prime_array().tolist()
 
 
 def _trial_division_parts(m: int) -> list[int]:
@@ -181,21 +185,29 @@ def is_powersmooth(m: int, t: int, sieve: FactorSieve | None = None) -> bool:
 def max_prime_power_table(n: int) -> np.ndarray:
     """Array a with a[m] = max_prime_power_factor(m) for 0 <= m <= n (a[0] = 0).
 
-    Built by marking every multiple of every prime power pk <= n with pk and
-    keeping a running maximum. For m with p-part p**a the marks p, p**2, ...,
-    p**a arrive in increasing order, so the final value is the true maximum
-    over the maximal prime-power divisors.
+    For each prime p <= isqrt(n), every multiple of p, p**2, ... <= n is
+    marked with that power under a running maximum; the marks of one prime
+    arrive in increasing order. A prime p > isqrt(n) divides m = k*p <= n
+    once, and k < p bounds every prime power of k, so a[k*p] = p: these are
+    set one cofactor k at a time.
     """
     n = _check_positive_int(n, "n")
-    primes = primes_upto(n)  # before the table, so the sieve is freed first
+    # before the table, so the sieve is freed first
+    primes = FactorSieve(n).prime_array() if n >= 2 else np.zeros(0, dtype=np.int64)
     table = np.ones(n + 1, dtype=np.int64)
     table[0] = 0
-    for p in primes:
+    root = isqrt(n)
+    small = int(np.searchsorted(primes, root, side="right"))
+    for p in primes[:small].tolist():
         pk = p
         while pk <= n:
             block = table[pk::pk]
             np.maximum(block, pk, out=block)
             pk *= p
+    large = primes[small:]
+    for k in range(1, n // (root + 1) + 1):
+        cut = large[: np.searchsorted(large, n // k, side="right")]
+        table[k * cut] = cut
     return table
 
 

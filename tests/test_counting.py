@@ -6,6 +6,7 @@ counters must agree with it and with each other.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -17,6 +18,7 @@ from egyfrac.counting import (
     MODE_EXACT,
     CountQuery,
     CountResult,
+    _block_groups,
     count_brute,
     count_mitm,
     enumerate_representations,
@@ -205,3 +207,98 @@ def test_reciprocal_subsets_match_combinations_oracle():
     # the root, then remainders 1/2, 1/6 (4 skipped), 1/6 (5 skipped), 1/6
     assert list(reciprocal_subsets(range(2, 7), Fraction(1), node_budget=4)) == []
     assert list(reciprocal_subsets(range(2, 7), Fraction(1), node_budget=5)) == [(2, 3, 6)]
+
+
+# Targets for the block-elimination tests: integers, small denominators, and
+# denominators that hold a prime's top power at some n <= 48 (8, 16, 9, 25,
+# 27, 49), where that prime must stay ungrouped.
+BLOCK_TARGETS = [
+    Fraction(1),
+    Fraction(1, 2),
+    Fraction(5, 6),
+    Fraction(13, 12),
+    Fraction(1, 8),
+    Fraction(3, 16),
+    Fraction(7, 9),
+    Fraction(1, 25),
+    Fraction(1, 27),
+    Fraction(2, 49),
+]
+
+
+def _top_powers(n):
+    """(p, q) for every prime p <= n with q the largest power of p <= n."""
+    out = []
+    for p in range(2, n + 1):
+        if all(p % d for d in range(2, p)):
+            q = p
+            while q * p <= n:
+                q *= p
+            out.append((p, q))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_mitm_block_elimination_matches_brute(n):
+    for x in BLOCK_TARGETS:
+        query = CountQuery(n, x, MODE_EXACT)
+        assert count_mitm(query).count == count_brute(query).count
+
+
+@pytest.mark.parametrize("n", range(25, 35))
+def test_mitm_block_elimination_matches_lcm_mitm(n):
+    # the plain route: every element its own include-or-skip step, scaled
+    # by lcm(1..n) whatever x is, halves split at n // 2
+    scale = lcm(*range(1, n + 1))
+    halves = []
+    for part in (range(1, n // 2 + 1), range(n // 2 + 1, n + 1)):
+        sums = [0]
+        for m in part:
+            sums += [s + scale // m for s in sums]
+        halves.append(sums)
+    left, right = halves[0], Counter(halves[1])
+    for x in BLOCK_TARGETS:
+        scaled = x * scale
+        want = 0
+        if scaled.denominator == 1:
+            want = sum(right[scaled.numerator - s] for s in left)
+        assert count_mitm(CountQuery(n, x, MODE_EXACT)).count == want
+
+
+def test_mitm_exact_counts_pinned():
+    # believed to be OEIS A092670; 44 was checked once against the plain route
+    for n, want in ((40, 1655), (42, 3054), (44, 3054)):
+        assert count_mitm(CountQuery(n, Fraction(1), MODE_EXACT)).count == want
+
+
+@pytest.mark.parametrize("n", range(1, 27))
+def test_representations_meet_block_congruence(n):
+    groups = _block_groups(n, 1)
+    grouped = [{m for option in group for m in option} for group in groups]
+    for rep in enumerate_representations(n, Fraction(1), 10_000):
+        # the lemma: the multiples of each top power form a block that sums
+        # to 0 mod p once divided by q (den(1) = 1, so every prime counts)
+        for p, q in _top_powers(n):
+            block = [a // q for a in rep if a % q == 0]
+            assert sum(pow(j, -1, p) for j in block) % p == 0
+        # and each representation is made of the options count_mitm joins
+        chosen = set(rep)
+        assert chosen <= set().union(*grouped)
+        for group, members in zip(groups, grouped):
+            part = tuple(sorted(chosen & members))
+            assert not part or part in group
+
+
+@pytest.mark.parametrize("n", [12, 25, 27, 32, 40, 48])
+def test_block_groups_take_exactly_the_eligible_top_powers(n):
+    for x in BLOCK_TARGETS:
+        groups = _block_groups(n, x.denominator)
+        singles = {group[0][0] for group in groups if len(group) == len(group[0]) == 1}
+        for p, q in _top_powers(n):
+            multiples = set(range(q, n + 1, q))
+            if x.denominator % q:
+                # grouped: a one-element block {jq} has 1/j != 0 mod p, so no
+                # block group looks like a singleton
+                assert not multiples & singles
+            else:
+                assert multiples <= singles

@@ -62,7 +62,7 @@ def _lcm_scaled_sum(items):
     return Fraction(sum(big // m for m in items), big)
 
 
-@pytest.mark.parametrize("size", [0, 1, 63, 64, 65, 128, 129, 2000])
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 7, 25, 63, 64, 65, 100, 128, 129, 357, 2000])
 def test_reciprocal_sum_matches_lcm_oracle(size):
     rng = random.Random(size)
     start = rng.randrange(1, 500)
@@ -73,6 +73,7 @@ def test_reciprocal_sum_matches_lcm_oracle(size):
     for items in (dense, dense[::-1], shuffled, sparse, sorted(sparse)):
         assert reciprocal_sum(items) == _lcm_scaled_sum(items)
     if size:
+        assert harmonic(size) == _lcm_scaled_sum(range(1, size + 1))
         with pytest.raises(ValueError):
             reciprocal_sum(sparse + [sparse[-1]])
         with pytest.raises(ValueError):
@@ -85,11 +86,6 @@ def test_harmonic_small_values():
     assert harmonic(1) == Fraction(1)
     assert harmonic(2) == Fraction(3, 2)
     assert harmonic(6) == Fraction(49, 20)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 25, 100, 357])
-def test_harmonic_matches_reciprocal_fold(n):
-    assert harmonic(n) == reciprocal_sum(range(1, n + 1))
 
 
 def test_harmonic_denominator_divides_lcm():
@@ -109,9 +105,12 @@ def test_primes_upto_matches_trial_division():
         return m >= 2 and all(m % d for d in range(2, isqrt(m) + 1))
 
     # 255 and 256 straddle the sieve's switch from 8-bit to 16-bit entries
-    spread = [5, 9, 10, 48, 49, 97, 100, 121, 255, 256, 257, 1024, 2003, 3000]
+    spread = [5, 9, 10, 48, 49, 97, 100, 121, 255, 256, 257, 1024, 2000, 2003, 3000]
     for n in list(range(5)) + spread:
-        assert primes_upto(n) == [m for m in range(n + 1) if is_prime(m)]
+        want = [m for m in range(n + 1) if is_prime(m)]
+        assert primes_upto(n) == want
+        if n >= 2:
+            assert FactorSieve(n).primes() == want
 
 
 def test_lcm_range_known_values():
@@ -148,11 +147,6 @@ def test_factor_sieve_factorizations():
         sieve.smallest_prime_factor(1)
 
 
-def test_factor_sieve_primes_agree_with_byte_sieve():
-    sieve = FactorSieve(2000)
-    assert sieve.primes() == primes_upto(2000)
-
-
 def test_factor_sieve_reconstructs_every_value():
     sieve = FactorSieve(3000)
     for m in range(1, 3001):
@@ -182,6 +176,15 @@ def test_max_prime_power_table_matches_pointwise():
     assert table[0] == 0
     for m in range(1, 4001):
         assert int(table[m]) == max_prime_power_factor(m, sieve)
+
+
+def test_max_prime_power_table_at_small_and_square_limits():
+    # the primes above isqrt(n) are set by cofactor, so limits at and next to
+    # a square move a prime between the two passes
+    limits = list(range(1, 40)) + [48, 49, 50, 120, 121, 122, 960, 961, 962, 1368, 1369]
+    for n in limits:
+        want = [0] + [max_prime_power_factor(m) for m in range(1, n + 1)]
+        assert max_prime_power_table(n).tolist() == want
 
 
 def test_is_powersmooth_examples():
