@@ -1,9 +1,9 @@
 """Exact arithmetic and sieve tests.
 
 Cross-checks pair independent implementations: the merged reciprocal sum
-vs an lcm-scaled integer sum, the running-max prime-power table vs
+vs an lcm-scaled integer sum and a Fraction fold, the running-max prime-power table vs
 per-element factorization, and the numpy smallest-prime-factor sieve vs
-plain trial division.
+plain trial division and a bytearray sieve of Eratosthenes.
 """
 
 import random
@@ -88,6 +88,15 @@ def test_harmonic_small_values():
     assert harmonic(6) == Fraction(49, 20)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 25, 100, 357])
+def test_harmonic_matches_reciprocal_fold(n):
+    # a left fold of Fractions, independent of reciprocal_sum's merge
+    fold = Fraction(0)
+    for k in range(1, n + 1):
+        fold += Fraction(1, k)
+    assert harmonic(n) == fold
+
+
 def test_harmonic_denominator_divides_lcm():
     for n in (3, 10, 50, 120):
         assert lcm_range(n) % harmonic(n).denominator == 0
@@ -145,6 +154,19 @@ def test_factor_sieve_factorizations():
         sieve.factor(1001)
     with pytest.raises(ValueError):
         sieve.smallest_prime_factor(1)
+
+
+def test_factor_sieve_primes_agree_with_byte_sieve():
+    # a plain bytearray sieve of Eratosthenes, independent of the spf table
+    n = 2000
+    flags = bytearray([1]) * (n + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    want = [m for m in range(n + 1) if flags[m]]
+    assert FactorSieve(n).primes() == want
+    assert primes_upto(n) == want
 
 
 def test_factor_sieve_reconstructs_every_value():
