@@ -3,14 +3,17 @@
 Two independent routes are kept deliberately separate so they can serve as
 oracles for each other:
 
-* count_brute walks the subset tree with Fraction partial sums, and
+* count_brute walks the subset tree with reciprocals scaled by
+  lcm(1..n) * den(x) to integers, and
 * count_mitm scales everything to integers and meets in the middle over
   integer subset sums. In mode "exact" it first eliminates top-prime-power
   blocks: the multiples of a top power p**k <= n of a prime p can only be
   used as a block whose reciprocals sum to 0 mod p (taken from
   egyfrac.modular), so it meets in the middle over those blocks and the
   remaining single elements. Mode "atmost" has no such lemma and meets in
-  the middle over all of [1, n].
+  the middle over all of [1, n]. Both modes share one numpy kernel: each
+  half's sums are built sorted in one preallocated array, and the join is
+  a searchsorted count against the right half.
 
 Both count subsets A of {1..n} with sum of 1/a equal to x (mode "exact") or
 at most x (mode "atmost", boundary ties included).
@@ -26,16 +29,16 @@ which caller it serves.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
-from math import lcm
+from math import lcm, prod
 from operator import mul
 from typing import Iterator, Sequence
 
-from .exactmath import primes_upto
+import numpy as np
+
+from .exactmath import primes_upto, reciprocal_sum
 from .modular import iter_solutions, make_instance
 
 MODE_EXACT = "exact"
@@ -87,10 +90,12 @@ class CountResult:
 def count_brute(query: CountQuery, cap: int = BRUTE_CAP) -> CountResult:
     """Count by exhaustive traversal of the subset tree with exact sums.
 
-    Two exact shortcuts keep the traversal honest but affordable: a branch
-    whose partial sum already exceeds x is dead (reciprocals only add), and
-    in mode "atmost" a branch whose partial sum plus the whole remaining
-    tail stays within x contributes a full 2**k block.
+    Every reciprocal is scaled by L = lcm(1..n) * den(x), so 1/m becomes
+    the integer L // m, x becomes num(x) * lcm(1..n), and the walk compares
+    integers. Two exact shortcuts keep the traversal honest but affordable:
+    a branch whose partial sum already exceeds x is dead (reciprocals only
+    add), and in mode "atmost" a branch whose partial sum plus the whole
+    remaining tail stays within x contributes a full 2**k block.
     """
     if query.n > cap:
         raise ValueError(
@@ -99,30 +104,33 @@ def count_brute(query: CountQuery, cap: int = BRUTE_CAP) -> CountResult:
         )
     start = time.perf_counter()
     n, x, mode = query.n, query.x, query.mode
-    rec = [Fraction(1, m) for m in range(1, n + 1)]
-    suffix = [Fraction(0)] * (n + 1)
+    base = lcm(*range(1, n + 1))
+    scale = base * x.denominator
+    goal = x.numerator * base
+    rec = [scale // m for m in range(1, n + 1)]
+    suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + rec[i]
     at_most = mode == MODE_AT_MOST
 
-    def walk(i: int, s: Fraction) -> int:
-        if s > x:
+    def walk(i: int, s: int) -> int:
+        if s > goal:
             return 0
         rest = suffix[i]
         if at_most:
-            if s + rest <= x:
+            if s + rest <= goal:
                 return 1 << (n - i)
         else:
             total = s + rest
-            if total < x:
+            if total < goal:
                 return 0
-            if total == x:
+            if total == goal:
                 return 1
         if i == n:
-            return 1 if at_most or s == x else 0
+            return 1 if at_most or s == goal else 0
         return walk(i + 1, s + rec[i]) + walk(i + 1, s)
 
-    count = walk(0, Fraction(0))
+    count = walk(0, 0)
     return CountResult(query, count, "brute", time.perf_counter() - start)
 
 
@@ -156,15 +164,25 @@ def _block_groups(n: int, den: int) -> list[list[tuple[int, ...]]]:
     return [group for group in groups if group]
 
 
-def _subset_sums(groups: list[list[int]]) -> list[int]:
-    """Every sum taking at most one option weight from each group.
+def _sorted_sums(groups: list[list[int]], dtype) -> np.ndarray:
+    """Every sum taking at most one option weight from each group, ascending.
 
     The empty option (weight 0) is implicit, so a singleton group [w] is the
-    plain include-or-skip step of a subset-sum list.
+    plain include-or-skip step of a subset-sum list. One array of
+    prod(len(group) + 1) entries is filled in place: with k sums listed,
+    option j's sums go to sums[j*k:(j+1)*k]. The prefix then holds
+    len(group) + 1 ascending runs, which a stable sort (a timsort for int64
+    and object arrays) merges run by run, so no step pays a full sort; on
+    object arrays a full sort is several times slower.
     """
-    sums = [0]
+    sums = np.empty(prod(len(options) + 1 for options in groups), dtype=dtype)
+    sums[0] = 0
+    k = 1
     for options in groups:
-        sums += [s + w for w in options for s in sums]
+        for j, w in enumerate(options, 1):
+            np.add(sums[:k], w, out=sums[j * k : (j + 1) * k])
+        k *= len(options) + 1
+        sums[:k].sort(kind="stable")
     return sums
 
 
@@ -186,11 +204,17 @@ def count_mitm(query: CountQuery, cap: int = MITM_CAP) -> CountResult:
     singleton group.
 
     With L the lcm of the elements left in some option, every option weight
-    becomes an integer multiple of 1/L. The groups are cut into two runs of
-    near-equal option-count product and each run's sums are listed: mode
-    "exact" is a hash join between the two lists and mode "atmost" is a
-    prefix count against the sorted right list. Python integers keep the
-    scaled sums exact at any n the cap allows.
+    becomes an integer multiple of 1/L, and x becomes the goal x*L (mode
+    "exact"; no subset hits x when that is not an integer) or floor(x*L)
+    (mode "atmost"). The groups are cut into two runs of near-equal
+    option-count product, and one kernel lists each run's sums in ascending
+    order. For each left sum s, mode "atmost" counts the right sums
+    <= goal - s and mode "exact" those equal to it, both by searchsorted on
+    the right half. The arrays are int64 when the largest value any step
+    can hold (the sum of each group's largest weight, plus the goal, plus 1)
+    is below 2**63, and exact Python ints (dtype object) otherwise: at x = 1
+    mode "atmost" stays int64 up to n = 42, and mode "exact", scaled by the
+    lcm of the surviving block elements only, at every n the cap allows.
     """
     if query.n > cap:
         raise ValueError(
@@ -208,24 +232,23 @@ def count_mitm(query: CountQuery, cap: int = MITM_CAP) -> CountResult:
     # The cut minimising the total half-list length, the earliest on ties.
     sizes = list(accumulate((len(group) + 1 for group in groups), mul, initial=1))
     half = min(range(len(sizes)), key=lambda i: sizes[i] + sizes[-1] // sizes[i])
-    left = _subset_sums(weights[:half])
-    right = _subset_sums(weights[half:])
-
     if mode == MODE_EXACT:
         scaled = x * scale
         if scaled.denominator != 1:
-            count = 0
-        else:
-            target = scaled.numerator
-            table = Counter(right)
-            count = sum(table[target - s] for s in left if target - s in table)
+            return CountResult(query, 0, "mitm", time.perf_counter() - start)
+        goal = scaled.numerator
     else:
-        threshold = (x.numerator * scale) // x.denominator
-        right.sort()
-        count = 0
-        for s in left:
-            count += bisect_right(right, threshold - s)
-    return CountResult(query, count, "mitm", time.perf_counter() - start)
+        goal = (x.numerator * scale) // x.denominator
+    bound = sum(max(options) for options in weights) + goal + 1
+    dtype = np.int64 if bound < 2**63 else object
+    left = _sorted_sums(weights[:half], dtype)
+    right = _sorted_sums(weights[half:], dtype)
+    # In place, so the object path holds no second left-sized array.
+    np.subtract(goal, left, out=left)
+    counts = np.searchsorted(right, left, "right")
+    if mode == MODE_EXACT:
+        counts -= np.searchsorted(right, left, "left")
+    return CountResult(query, int(counts.sum()), "mitm", time.perf_counter() - start)
 
 
 def reciprocal_subsets(
@@ -240,16 +263,18 @@ def reciprocal_subsets(
     when the whole tail cannot reach the remainder. A node is a state with a
     non-zero remainder, elements left and enough tail mass to cover the
     remainder; the walk stops for good once it has used more than
-    `node_budget` nodes.
+    `node_budget` nodes. The tail masses tails[i] (the reciprocal sum of
+    denoms[i:]) start from the total and are extended only as deep as the
+    walk reaches, so a short walk over a long ground set stays cheap.
     """
     x = Fraction(x)
     if x == 0:
         yield ()
         return
-    rec = [Fraction(1, d) for d in denoms]
-    tails = list(accumulate(reversed(rec), initial=Fraction(0)))[::-1]
+    tails = [reciprocal_sum(denoms)]
     if not 0 < x <= tails[0]:
         return
+    rec: list[Fraction] = []
     chosen: list[int] = []
     # (index, remainder, len(chosen) on entry); every entry already passed
     # the tail test, and the chosen prefixes of the entries nest.
@@ -261,6 +286,10 @@ def reciprocal_subsets(
         if node_budget is not None and nodes > node_budget:
             return
         del chosen[k:]
+        if len(tails) == i + 1:
+            # first node at depth i; the node that pushed it had tails[i]
+            rec.append(Fraction(1, denoms[i]))
+            tails.append(tails[i] - rec[i])
         if tails[i + 1] >= rem:
             stack.append((i + 1, rem, k))
         r = rec[i]

@@ -6,11 +6,13 @@ counters must agree with it and with each other.
 """
 
 import random
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 
+import numpy as np
 import pytest
 
 from egyfrac.counting import (
@@ -19,6 +21,7 @@ from egyfrac.counting import (
     CountQuery,
     CountResult,
     _block_groups,
+    _sorted_sums,
     count_brute,
     count_mitm,
     enumerate_representations,
@@ -302,3 +305,51 @@ def test_block_groups_take_exactly_the_eligible_top_powers(n):
                 assert not multiples & singles
             else:
                 assert multiples <= singles
+
+
+@pytest.mark.parametrize("n", range(25, 35))
+def test_mitm_atmost_matches_bisect_lcm_mitm(n):
+    # the plain route: lcm(1..n)-scaled Python-int lists split at n // 2,
+    # the right one sorted and bisected once per left sum
+    scale = lcm(*range(1, n + 1))
+    halves = []
+    for part in (range(1, n // 2 + 1), range(n // 2 + 1, n + 1)):
+        sums = [0]
+        for m in part:
+            sums += [s + scale // m for s in sums]
+        halves.append(sums)
+    left, right = halves[0], sorted(halves[1])
+    for x in (Fraction(1, 2), Fraction(1), Fraction(5, 6), Fraction(3, 2), Fraction(2), Fraction(7, 9)):
+        threshold = x.numerator * scale // x.denominator
+        want = sum(bisect_right(right, threshold - s) for s in left)
+        assert count_mitm(CountQuery(n, x, MODE_AT_MOST)).count == want
+
+
+def test_sorted_sums_agree_across_dtypes():
+    rng = random.Random(66)
+    for _ in range(40):
+        groups = [
+            [rng.randrange(1, 10**rng.choice((2, 6, 15))) for _ in range(rng.choice((1, 1, 2, 3)))]
+            for _ in range(rng.randint(0, 8))
+        ]
+        want = sorted(sum(pick) for pick in product(*([0] + options for options in groups)))
+        fixed = _sorted_sums(groups, np.int64)
+        exact = _sorted_sums(groups, object)
+        assert fixed.dtype == np.int64 and exact.dtype == object
+        assert fixed.tolist() == want
+        assert exact.tolist() == want
+
+
+def test_mitm_atmost_counts_pinned():
+    # checked against the Python-list join these replaced; lcm(1..43) is
+    # past 2**63, so n = 43 holds exact Python ints
+    for n, want in ((40, 28926586886), (42, 100345421237), (43, 186949187927)):
+        assert count_mitm(CountQuery(n, Fraction(1), MODE_AT_MOST)).count == want
+
+
+def test_mitm_huge_target_takes_exact_ints():
+    # x * lcm(1..n) is past 2**63, so only Python ints hold the goal
+    for n in (1, 7, 12):
+        for x in (Fraction(2**70), Fraction(2**70 + 1, 3)):
+            assert count_mitm(CountQuery(n, x, MODE_AT_MOST)).count == 2**n
+            assert count_mitm(CountQuery(n, x, MODE_EXACT)).count == 0

@@ -9,6 +9,7 @@ limit at large n.
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -154,6 +155,13 @@ def test_upper_bound_dominates_exact_counts():
         bound = entropy_upper_bound(n, x)
         assert math.log2(count) <= bound
         assert bound >= discrete_profile(n, x).H
+
+
+@pytest.mark.parametrize("n", [24, 28, 32, 36, 40, 42])
+def test_upper_bound_dominates_exact_counts_to_n42(n):
+    for x in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
+        count = count_mitm(CountQuery(n, x, MODE_AT_MOST)).count
+        assert math.log2(count) <= entropy_upper_bound(n, x)
 
 
 def test_mass_integral_against_simpson():
