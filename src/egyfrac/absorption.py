@@ -11,7 +11,9 @@ Stages, each exact-rational end to end:
     power of b below q) whose inverse sum hits u * (v/q)^(-1) mod q where
     x_i = u/v. Subtracting sum(1/(q*b)) then removes the prime of q from
     the denominator entirely, and any prime power the cofactors introduce
-    is strictly below q, so the sweep terminates.
+    is strictly below q, so the sweep terminates. The sweep finds q as the
+    first key of the per-prime-power pools dividing den(x_i), so it relies
+    on the pools being keyed in descending order.
 3.  The final remainder x_f has denominator dividing K = lcm(prime powers
     <= L); finish exactly inside the reserved multiples of K by writing
     K * x_f as a sum of distinct reciprocals from [1, n // K]. The search
@@ -21,6 +23,11 @@ Stages, each exact-rational end to end:
 Element disjointness across stages is enforced by a shared used-set: the
 reservoir never appears in stage 1 or 2, and stage 2 consults the used-set
 before taking any multiple.
+
+Four settings are constants of AbsorptionConfig: the held-back mass share
+eta = 1/4, the witness size cap s_max = 12, the alt_limit = 10 witnesses
+tried per step, and pool_margin = 24, which bounds the universe's prime
+powers by n // pool_margin.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -37,11 +44,9 @@ from .counting import reciprocal_subsets
 from .entropy import EntropyProfile, discrete_profile
 from .exactmath import (
     _frac_str,
-    factor_bounded,
     lcm_range,
     max_prime_power_table,
     prime_powers_in,
-    primes_upto,
     reciprocal_sum,
 )
 from .modelsim import _trial_rng
@@ -77,17 +82,16 @@ class AbsorptionConfig:
     x: Fraction
     L: int
     K: int
-    eta: Fraction
     seed: int
     reservoir: frozenset[int]
     universe: tuple[int, ...]
     pools: dict[int, tuple[int, ...]] = field(repr=False)
-    primes: tuple[int, ...] = field(repr=False)
     base_profile: EntropyProfile = field(repr=False)
-    s_max: int = 12
     max_attempts: int = 50
-    alt_limit: int = 10
-    pool_margin: int = 24
+    eta: ClassVar[Fraction] = Fraction(1, 4)
+    s_max: ClassVar[int] = 12
+    alt_limit: ClassVar[int] = 10
+    pool_margin: ClassVar[int] = 24
 
 
 @dataclass(frozen=True)
@@ -116,57 +120,44 @@ class AbsorptionTrace:
 
 
 def build_config(
-    n: int,
-    x,
-    L: int = 4,
-    eta=Fraction(1, 4),
-    seed: int = 0,
-    s_max: int = 12,
-    max_attempts: int = 50,
-    alt_limit: int = 10,
-    pool_margin: int = 24,
+    n: int, x, L: int = 4, seed: int = 0, max_attempts: int = 50
 ) -> AbsorptionConfig:
     """Precompute the reservoir, sampling universe and per-prime-power pools.
 
     The universe keeps only m whose maximal prime powers are at most
-    max(L, n // pool_margin): every prime power the base set can push into
-    the denominator then has at least pool_margin candidate multiples left
-    for the cancellation stage. Pools are ordered by descending cofactor
-    so the witness search proposes the lightest subsets first; otherwise
-    the sweep spends its mass budget on early steps and the small prime
-    powers at the tail cannot be cancelled without going negative.
+    max(L, n // pool_margin), with pool_margin = 24 a constant of
+    AbsorptionConfig (as are eta = 1/4, s_max = 12 and alt_limit = 10):
+    every prime power the base set can push into the denominator then has
+    at least pool_margin candidate multiples left for the cancellation
+    stage. The pools are keyed by the prime powers in (L, n // 2] in
+    descending order, which the sweep relies on to find the largest prime
+    power of a denominator first. Each pool is ordered by descending
+    cofactor so the witness search proposes the lightest subsets first;
+    otherwise the sweep spends its mass budget on early steps and the small
+    prime powers at the tail cannot be cancelled without going negative.
     """
     x = Fraction(x)
     if x <= 0:
         raise ValueError(f"x must be positive, got {x}")
     if L < 2:
         raise ValueError(f"L must be >= 2 so K has at least one prime power, got {L}")
-    eta = Fraction(eta)
-    if not 0 < eta < 1:
-        raise ValueError(f"eta must lie in (0, 1), got {eta}")
     K = lcm_range(L)
     if n < 4 * K:
         raise ValueError(f"n={n} is too small: need n >= 4*K = {4 * K} for a usable reservoir")
-
-    primes = tuple(primes_upto(n))
-    try:
-        den_parts = [p**a for p, a in factor_bounded(x.denominator, primes)]
-    except ValueError as exc:
-        raise ValueError(f"denominator of x={x} has a prime factor above n={n}") from exc
-    oversized = [q for q in den_parts if q > n // 2]
-    if oversized:
+    # lcm(1..n//2) holds every prime power <= n/2 and no larger one.
+    if lcm_range(n // 2) % x.denominator:
         raise ValueError(
-            f"denominator prime power {max(oversized)} of x={x} exceeds n/2 = {n // 2}"
+            f"denominator of x={x} has a prime power above n/2 = {n // 2}"
         )
 
     mppf = max_prime_power_table(n)
     reservoir = frozenset(range(K, n + 1, K))
-    t_u = max(L, n // pool_margin)
+    t_u = max(L, n // AbsorptionConfig.pool_margin)
     universe = tuple(
         m for m in range(1, n + 1) if m not in reservoir and mppf[m] <= t_u
     )
     if not universe:
-        raise ValueError("sampling universe is empty; increase n or pool_margin")
+        raise ValueError("sampling universe is empty; increase n")
 
     pools: dict[int, tuple[int, ...]] = {}
     for _, q in prime_powers_in(2, n // 2):
@@ -179,7 +170,7 @@ def build_config(
         )
         pools[q] = pool
 
-    target = (1 - eta) * x
+    target = (1 - AbsorptionConfig.eta) * x
     base_profile = discrete_profile(n, float(target), support=universe)
 
     return AbsorptionConfig(
@@ -187,17 +178,12 @@ def build_config(
         x=x,
         L=L,
         K=K,
-        eta=eta,
         seed=int(seed),
         reservoir=reservoir,
         universe=universe,
         pools=pools,
-        primes=primes,
         base_profile=base_profile,
-        s_max=s_max,
         max_attempts=max_attempts,
-        alt_limit=alt_limit,
-        pool_margin=pool_margin,
     )
 
 
@@ -220,12 +206,6 @@ def sample_base_set(config: AbsorptionConfig, attempt: int = 0) -> tuple[int, ..
     raise RuntimeError("base-set sampling failed the mass bound 200 times in a row")
 
 
-def _excess_prime_powers(v: int, primes: Sequence[int], L: int) -> list[tuple[int, int]]:
-    """(p, q) for each maximal prime power q = p**a of v above L, q descending."""
-    parts = [(p, p**a) for p, a in factor_bounded(v, primes)]
-    return sorted(((p, q) for p, q in parts if q > L), key=lambda pq: pq[1], reverse=True)
-
-
 def cancel_prime_powers(
     config: AbsorptionConfig, x0: Fraction, used: Iterable[int] | None = None
 ) -> tuple[list[AbsorptionStep], Fraction]:
@@ -235,6 +215,12 @@ def cancel_prime_powers(
     when s(q*B) >= x_i and the solver is asked for the next witness, up to
     alt_limit of them). Raises CancelStepError when a prime power cannot be
     cancelled; the caller decides whether to resample.
+
+    Each step's q is the first pool key dividing den(x_i). The keys are the
+    prime powers in (L, n // 2] in descending order, so q is the largest
+    of them left in the denominator. A prime power above n/2 has no pool:
+    ValueError is raised when a higher power of q's prime divides
+    den(x_i), and when the final denominator does not divide K.
     """
     x_i = Fraction(x0)
     if x_i <= 0:
@@ -244,19 +230,18 @@ def cancel_prime_powers(
     prev_q: int | None = None
 
     while True:
-        excess = _excess_prime_powers(x_i.denominator, config.primes, config.L)
-        if not excess:
+        u, v = x_i.numerator, x_i.denominator
+        q = next((key for key in config.pools if v % key == 0), None)
+        if q is None:
             break
-        p, q = excess[0]
         if prev_q is not None and q >= prev_q:
             raise RuntimeError(f"prime-power sweep failed to descend: {q} after {prev_q}")
         prev_q = q
-        if q not in config.pools:
+        if gcd(v // q, q) != 1:
             raise ValueError(
-                f"denominator prime power {q} exceeds n/2 = {config.n // 2}; "
-                f"no cancellation pool exists"
+                f"a higher power of the prime of q={q} divides the remainder's "
+                f"denominator and exceeds n/2 = {config.n // 2}; no cancellation pool exists"
             )
-        u, v = x_i.numerator, x_i.denominator
         w = (v // q) % q
         target = (u * mod_inverse(w, q)) % q
         if target == 0:
@@ -279,12 +264,17 @@ def cancel_prime_powers(
             )
 
         x_next = x_i - mass
-        if x_next <= 0 or x_next.denominator % p == 0:
-            raise RuntimeError(f"cancellation step for q={q} failed to clear prime {p}")
+        if x_next <= 0 or gcd(x_next.denominator, q) != 1:
+            raise RuntimeError(f"cancellation step for q={q} failed to clear its prime")
         taken.update(q * b for b in chosen)
         steps.append(AbsorptionStep(q=q, cofactors=tuple(chosen), x_after=x_next))
         x_i = x_next
 
+    if config.K % x_i.denominator:
+        raise ValueError(
+            f"remainder {x_i} has a denominator prime power above n/2 = {config.n // 2}; "
+            f"no cancellation pool exists"
+        )
     return steps, x_i
 
 
@@ -328,12 +318,8 @@ def construct_representation(
     n: int,
     x,
     L: int = 4,
-    eta=Fraction(1, 4),
     seed: int = 0,
-    s_max: int = 12,
     max_attempts: int = 50,
-    alt_limit: int = 10,
-    pool_margin: int = 24,
     deadline: float | None = None,
 ) -> AbsorptionTrace:
     """Run the full pipeline; resample the base set on failure.
@@ -343,17 +329,7 @@ def construct_representation(
     deadline (time.monotonic value) stops further attempts and reports a
     truncated failure.
     """
-    config = build_config(
-        n,
-        x,
-        L=L,
-        eta=eta,
-        seed=seed,
-        s_max=s_max,
-        max_attempts=max_attempts,
-        alt_limit=alt_limit,
-        pool_margin=pool_margin,
-    )
+    config = build_config(n, x, L=L, seed=seed, max_attempts=max_attempts)
     return construct_from_config(config, deadline=deadline)
 
 
@@ -379,9 +355,6 @@ def construct_from_config(
             reason = str(exc)
             continue
         steps = tuple(step_list)
-        used = set(base)
-        for step in steps:
-            used.update(step.elements())
         d_indices = reservoir_decompose(config, x_f)
         if d_indices is None:
             reason = f"reservoir decomposition failed for K*x_f = {x_f * config.K}"

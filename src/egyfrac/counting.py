@@ -28,6 +28,7 @@ which caller it serves.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +48,8 @@ MODE_AT_MOST = "atmost"
 BRUTE_CAP = 25
 MITM_CAP = 48
 ENUM_CAP = 40
+# Bytes: count_mitm refuses a query whose half-sum arrays are estimated above this.
+MITM_MEMORY_CAP = 512 * 2**20
 
 __all__ = [
     "MODE_EXACT",
@@ -54,6 +57,7 @@ __all__ = [
     "BRUTE_CAP",
     "MITM_CAP",
     "ENUM_CAP",
+    "MITM_MEMORY_CAP",
     "CountQuery",
     "CountResult",
     "count_brute",
@@ -215,6 +219,11 @@ def count_mitm(query: CountQuery, cap: int = MITM_CAP) -> CountResult:
     is below 2**63, and exact Python ints (dtype object) otherwise: at x = 1
     mode "atmost" stays int64 up to n = 42, and mode "exact", scaled by the
     lcm of the surviving block elements only, at every n the cap allows.
+
+    Before any sum is listed, the two half arrays are estimated at 8 bytes
+    an int64 entry, or 8 bytes plus the size of an int as large as the bound
+    an object entry; a query estimated above MITM_MEMORY_CAP bytes raises
+    ValueError. At x = 1 mode "atmost" is admitted up to n = 44.
     """
     if query.n > cap:
         raise ValueError(
@@ -241,6 +250,13 @@ def count_mitm(query: CountQuery, cap: int = MITM_CAP) -> CountResult:
         goal = (x.numerator * scale) // x.denominator
     bound = sum(max(options) for options in weights) + goal + 1
     dtype = np.int64 if bound < 2**63 else object
+    entry_bytes = 8 if dtype is np.int64 else 8 + sys.getsizeof(bound)
+    estimate = (sizes[half] + sizes[-1] // sizes[half]) * entry_bytes
+    if estimate > MITM_MEMORY_CAP:
+        raise ValueError(
+            f"count_mitm refuses n={n}: its half sums need about {estimate / 2**20:.0f} MiB, "
+            f"over the {MITM_MEMORY_CAP // 2**20} MiB memory cap"
+        )
     left = _sorted_sums(weights[:half], dtype)
     right = _sorted_sums(weights[half:], dtype)
     # In place, so the object path holds no second left-sized array.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, log
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "max_prime_power_table",
     "prime_powers_in",
     "smooth_density_linear",
-    "factor_bounded",
     "primes_upto",
 ]
 
@@ -247,27 +246,3 @@ def smooth_density_linear(u: float) -> float:
     if not 0.5 < u <= 1.0:
         raise ValueError(f"u must lie in (1/2, 1], got {u}")
     return 1.0 + log(u)
-
-
-def factor_bounded(v: int, primes: Sequence[int]) -> list[tuple[int, int]]:
-    """Factor v over the supplied primes; error if anything is left over.
-
-    Intended for large integers known to be smooth with respect to `primes`
-    (for example denominators of reciprocal sums over [1, n]).
-    """
-    if v < 1:
-        raise ValueError(f"v must be >= 1, got {v}")
-    out = []
-    rem = v
-    for p in primes:
-        if rem == 1:
-            break
-        if rem % p == 0:
-            a = 0
-            while rem % p == 0:
-                rem //= p
-                a += 1
-            out.append((p, a))
-    if rem != 1:
-        raise ValueError(f"v has a prime factor outside the supplied table (left {rem})")
-    return out

@@ -14,6 +14,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -85,12 +86,24 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _inclusion_masks(
+    profile: EntropyProfile, seed: int, trials: int, deadline: float | None = None
+) -> Iterator[np.ndarray]:
+    """Trial t's inclusion mask, u < p with u drawn by key (seed, t), for t < trials.
+
+    Past a deadline (time.monotonic value) no further trial is drawn.
+    """
+    for t in range(trials):
+        if deadline is not None and time.monotonic() > deadline:
+            return
+        yield _trial_rng(seed, t).random(profile.n) < profile.p
+
+
 def sample_model(profile: EntropyProfile, seed: int) -> ModelSample:
     """One subset drawn from the model, with its exact rational sum."""
     seed = _check_seed(seed)
-    u = _trial_rng(seed, 0).random(profile.n)
-    idx = np.flatnonzero(u < profile.p) + 1
-    subset = tuple(int(i) for i in idx)
+    included = next(_inclusion_masks(profile, seed, 1))
+    subset = tuple(int(i) for i in np.flatnonzero(included) + 1)
     return ModelSample(subset=subset, z=reciprocal_sum(subset))
 
 
@@ -101,9 +114,8 @@ def sample_z_values(profile: EntropyProfile, trials: int, seed: int) -> np.ndarr
     seed = _check_seed(seed)
     inv = 1.0 / np.arange(1, profile.n + 1, dtype=np.float64)
     out = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
-        u = _trial_rng(seed, t).random(profile.n)
-        out[t] = np.dot(u < profile.p, inv)
+    for t, included in enumerate(_inclusion_masks(profile, seed, trials)):
+        out[t] = np.dot(included, inv)
     return out
 
 
@@ -134,12 +146,8 @@ def estimate_prob_at_most(
     hits = 0
     fallbacks = 0
     ran = 0
-    for t in range(trials):
-        if deadline is not None and time.monotonic() > deadline:
-            break
+    for included in _inclusion_masks(profile, seed, trials, deadline):
         ran += 1
-        u = _trial_rng(seed, t).random(profile.n)
-        included = u < profile.p
         z = float(np.dot(included, inv))
         if abs(z - xf) <= band:
             fallbacks += 1

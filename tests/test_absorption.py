@@ -6,6 +6,7 @@ cancellation of 1/7, the reservoir decompositions, and full end-to-end
 construction with exact replay of the emitted trace.
 """
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -118,6 +119,20 @@ def test_cancel_error_names_the_prime_power(config):
     assert info.value.q == 7
 
 
+@pytest.mark.parametrize(
+    "x0,match",
+    [
+        (Fraction(1, 61), "no cancellation pool"),  # a prime in (n/2, n]
+        (Fraction(1, 127), None),  # a prime above n
+        # a prime power above n/2 whose lower powers have pools
+        (Fraction(1, 64), "no cancellation pool"),
+    ],
+)
+def test_cancel_rejects_prime_powers_without_a_pool(config, x0, match):
+    with pytest.raises(ValueError, match=match):
+        cancel_prime_powers(config, x0)
+
+
 def test_cancel_progress_invariants():
     # larger n: roomy pools admit chains of three or four prime powers
     cfg = build_config(1200, Fraction(1), seed=3)
@@ -209,6 +224,23 @@ def test_construct_is_deterministic_per_seed():
     assert a.elements == b.elements
     assert a.attempt == b.attempt
     assert a.elements != c.elements
+
+
+@pytest.mark.parametrize(
+    "x,attempt,size,digest",
+    [
+        (Fraction(1), 1, 1125, "220e34aa6ba72947b64d57230be7ee888bb75a1168528ffbb7a429c1d40e02b6"),
+        (Fraction(3, 4), 9, 977, "12cb9b0016dde659fbabbec38481c4c3f88b882bdeb515a10a2a42fb226446b1"),
+    ],
+)
+def test_construct_elements_pinned(x, attempt, size, digest):
+    # any change to the sampling, the sweep order or the reservoir search
+    # changes the elements of these seeded constructions
+    trace = construct_representation(5000, x, seed=1)
+    assert trace.success
+    assert (trace.attempt, len(trace.elements)) == (attempt, size)
+    elements = ",".join(map(str, sorted(trace.elements)))
+    assert hashlib.sha256(elements.encode()).hexdigest() == digest
 
 
 def test_construct_with_coarser_reservoir():

@@ -6,6 +6,7 @@ counters must agree with it and with each other.
 """
 
 import random
+import time
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -345,6 +346,15 @@ def test_mitm_atmost_counts_pinned():
     # past 2**63, so n = 43 holds exact Python ints
     for n, want in ((40, 28926586886), (42, 100345421237), (43, 186949187927)):
         assert count_mitm(CountQuery(n, Fraction(1), MODE_AT_MOST)).count == want
+
+
+def test_mitm_refuses_past_the_memory_estimate():
+    # n = 48 is within MITM_CAP, but mode "atmost" would hold about 1.4 GiB
+    # of Python ints; the estimate refuses before any sum is listed
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="MiB"):
+        count_mitm(CountQuery(48, Fraction(1), MODE_AT_MOST))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_mitm_huge_target_takes_exact_ints():

@@ -14,7 +14,6 @@ import pytest
 
 from egyfrac.exactmath import (
     FactorSieve,
-    factor_bounded,
     harmonic,
     is_powersmooth,
     lcm_range,
@@ -257,27 +256,6 @@ def test_smooth_density_linear():
         smooth_density_linear(0.5)
     with pytest.raises(ValueError):
         smooth_density_linear(1.01)
-
-
-def test_factor_bounded():
-    primes = primes_upto(10)
-    assert factor_bounded(2520, primes) == [(2, 3), (3, 2), (5, 1), (7, 1)]
-    assert factor_bounded(1, primes) == []
-    with pytest.raises(ValueError):
-        factor_bounded(22, primes)  # 11 is outside the table
-    with pytest.raises(ValueError):
-        factor_bounded(0, primes)
-
-
-def test_factor_bounded_on_harmonic_denominator():
-    n = 200
-    den = harmonic(n).denominator
-    parts = factor_bounded(den, primes_upto(n))
-    prod = 1
-    for p, a in parts:
-        prod *= p**a
-    assert prod == den
-    assert all(p**a <= n for p, a in parts)
 
 
 def test_fractions_stay_normalized():
