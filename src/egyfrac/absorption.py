@@ -11,9 +11,10 @@ Stages, each exact-rational end to end:
     power of b below q) whose inverse sum hits u * (v/q)^(-1) mod q where
     x_i = u/v. Subtracting sum(1/(q*b)) then removes the prime of q from
     the denominator entirely, and any prime power the cofactors introduce
-    is strictly below q, so the sweep terminates. The sweep finds q as the
-    first key of the per-prime-power pools dividing den(x_i), so it relies
-    on the pools being keyed in descending order.
+    is strictly below q. So no prime power above q can divide a later
+    denominator, and the sweep is one pass over the per-prime-power pools,
+    which are keyed in descending order: each key is tested once, against
+    the remainder current when the pass reaches it.
 3.  The final remainder x_f has denominator dividing K = lcm(prime powers
     <= L); finish exactly inside the reserved multiples of K by writing
     K * x_f as a sum of distinct reciprocals from [1, n // K]. The search
@@ -24,10 +25,10 @@ Element disjointness across stages is enforced by a shared used-set: the
 reservoir never appears in stage 1 or 2, and stage 2 consults the used-set
 before taking any multiple.
 
-Four settings are constants of AbsorptionConfig: the held-back mass share
+Five settings are constants of AbsorptionConfig: the held-back mass share
 eta = 1/4, the witness size cap s_max = 12, the alt_limit = 10 witnesses
-tried per step, and pool_margin = 24, which bounds the universe's prime
-powers by n // pool_margin.
+tried per step, pool_margin = 24, which bounds the universe's prime powers
+by n // pool_margin, and the reservoir search's node_budget = 2,000,000.
 """
 
 from __future__ import annotations
@@ -92,6 +93,7 @@ class AbsorptionConfig:
     s_max: ClassVar[int] = 12
     alt_limit: ClassVar[int] = 10
     pool_margin: ClassVar[int] = 24
+    node_budget: ClassVar[int] = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -216,27 +218,26 @@ def cancel_prime_powers(
     alt_limit of them). Raises CancelStepError when a prime power cannot be
     cancelled; the caller decides whether to resample.
 
-    Each step's q is the first pool key dividing den(x_i). The keys are the
-    prime powers in (L, n // 2] in descending order, so q is the largest
-    of them left in the denominator. A prime power above n/2 has no pool:
-    ValueError is raised when a higher power of q's prime divides
-    den(x_i), and when the final denominator does not divide K.
+    The sweep is one pass over the pool keys, the prime powers in
+    (L, n // 2] in descending order; a key that divides the current
+    denominator v is the step's q, so q is the largest key dividing v. No
+    key passed over can divide a later denominator: a step subtracts
+    1/(q*b) with every prime power of b below q, and leaves no factor of
+    q's prime, so for a key p**a > q the exponent of p in the new
+    denominator is below a whenever it was in v. A prime power above n/2
+    has no pool: ValueError is raised when a higher power of q's prime
+    divides v, and when the final denominator does not divide K.
     """
     x_i = Fraction(x0)
     if x_i <= 0:
         raise ValueError(f"x0 must be positive, got {x0}")
     taken = set(used) if used is not None else set()
     steps: list[AbsorptionStep] = []
-    prev_q: int | None = None
 
-    while True:
+    for q, pool in config.pools.items():
         u, v = x_i.numerator, x_i.denominator
-        q = next((key for key in config.pools if v % key == 0), None)
-        if q is None:
-            break
-        if prev_q is not None and q >= prev_q:
-            raise RuntimeError(f"prime-power sweep failed to descend: {q} after {prev_q}")
-        prev_q = q
+        if v % q:
+            continue
         if gcd(v // q, q) != 1:
             raise ValueError(
                 f"a higher power of the prime of q={q} divides the remainder's "
@@ -247,7 +248,7 @@ def cancel_prime_powers(
         if target == 0:
             raise RuntimeError(f"cancellation target for q={q} degenerated to zero")
 
-        avail = [b for b in config.pools[q] if (q * b) not in taken]
+        avail = [b for b in pool if (q * b) not in taken]
         instance = make_instance(q, avail, config.s_max)
         chosen = None
         mass = None
@@ -278,17 +279,13 @@ def cancel_prime_powers(
     return steps, x_i
 
 
-def reservoir_decompose(
-    config: AbsorptionConfig,
-    x_f: Fraction,
-    available: Iterable[int] | None = None,
-    node_budget: int = 2_000_000,
-) -> tuple[int, ...] | None:
+def reservoir_decompose(config: AbsorptionConfig, x_f: Fraction) -> tuple[int, ...] | None:
     """Indices D within [1, n // K] with sum(1/d) = K * x_f exactly, or None.
 
-    D is the first subset reciprocal_subsets finds within node_budget
-    nodes. Its greedy-first descent (largest reciprocal first) finds
-    typical targets quickly; the node budget bounds pathological searches.
+    D is the first subset reciprocal_subsets finds within the config's
+    node_budget nodes. Its greedy-first descent (largest reciprocal first)
+    finds typical targets quickly; the node budget bounds pathological
+    searches.
     """
     x_f = Fraction(x_f)
     if x_f < 0:
@@ -297,10 +294,7 @@ def reservoir_decompose(
     if goal.denominator != 1:
         raise ValueError(f"K * x_f = {goal} is not an integer; cancellation is incomplete")
     top = config.n // config.K
-    avail = sorted(set(available)) if available is not None else range(1, top + 1)
-    if avail and (avail[0] < 1 or avail[-1] > top):
-        raise ValueError(f"available indices must lie in [1, {top}]")
-    return next(reciprocal_subsets(avail, goal, node_budget), None)
+    return next(reciprocal_subsets(range(1, top + 1), goal, config.node_budget), None)
 
 
 def verify_representation(elements: Iterable[int], n: int, x) -> bool:

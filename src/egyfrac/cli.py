@@ -8,8 +8,9 @@ counts as decimal strings, so records survive JSON round trips losslessly.
 coverage histograms). A relative --out path is resolved against
 EGYFRAC_OUT_DIR when that variable is set.
 
-Exit codes: 0 success, 1 domain or numeric error, 2 usage error, 3 budget
-exceeded (payload flagged "truncated").
+Exit codes: 0 success, 1 domain or numeric error, 2 usage error (including
+--budget on a subcommand other than simulate and construct, the two that
+honour it), 3 budget exceeded (payload flagged "truncated").
 """
 
 from __future__ import annotations
@@ -58,15 +59,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"egyfrac {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, budget=False):
         p.add_argument("--out", type=str, default=None, help="write the JSON record here")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument(
-            "--budget",
-            type=float,
-            default=None,
-            help="wall-clock seconds; multi-part work stops early and is flagged truncated",
-        )
+        if budget:
+            p.add_argument(
+                "--budget",
+                type=float,
+                default=None,
+                help="wall-clock seconds; multi-part work stops early and is flagged truncated",
+            )
 
     p = sub.add_parser("count", help="exact subset count")
     p.add_argument("--n", type=int, required=True)
@@ -93,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=parse_rational, required=True)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
+    common(p, budget=True)
 
     p = sub.add_parser("modcover", help="residue coverage by inverse subset sums")
     p.add_argument("--q", type=int, required=True)
@@ -108,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1, help="consecutive seeds to run")
     p.add_argument("--trace", type=str, default=None, help="write trace JSON here")
-    common(p)
+    common(p, budget=True)
 
     p = sub.add_parser("sieve", help="powersmooth counting")
     p.add_argument("--n", type=int, required=True)
@@ -333,7 +335,8 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
 
     started = datetime.now(timezone.utc).isoformat()
-    deadline = time.monotonic() + args.budget if args.budget is not None else None
+    budget = getattr(args, "budget", None)
+    deadline = time.monotonic() + budget if budget is not None else None
     handlers = {
         "count": lambda: _cmd_count(args),
         "entropy": lambda: _cmd_entropy(args),

@@ -48,7 +48,7 @@ MODE_AT_MOST = "atmost"
 BRUTE_CAP = 25
 MITM_CAP = 48
 ENUM_CAP = 40
-# Bytes: count_mitm refuses a query whose half-sum arrays are estimated above this.
+# Bytes: count_mitm refuses a query whose arrays are estimated above this.
 MITM_MEMORY_CAP = 512 * 2**20
 
 __all__ = [
@@ -220,10 +220,12 @@ def count_mitm(query: CountQuery, cap: int = MITM_CAP) -> CountResult:
     mode "atmost" stays int64 up to n = 42, and mode "exact", scaled by the
     lcm of the surviving block elements only, at every n the cap allows.
 
-    Before any sum is listed, the two half arrays are estimated at 8 bytes
-    an int64 entry, or 8 bytes plus the size of an int as large as the bound
-    an object entry; a query estimated above MITM_MEMORY_CAP bytes raises
-    ValueError. At x = 1 mode "atmost" is admitted up to n = 44.
+    Before any sum is listed, the memory is estimated: the two half arrays
+    at 8 bytes an int64 entry, or 8 bytes plus the size of an int as large
+    as the bound an object entry, plus the searchsorted results at 8 bytes
+    a left sum (mode "atmost") or 16 (mode "exact", two arrays at once); a
+    query estimated above MITM_MEMORY_CAP bytes raises ValueError. At x = 1
+    mode "atmost" is admitted up to n = 44.
     """
     if query.n > cap:
         raise ValueError(
@@ -251,11 +253,12 @@ def count_mitm(query: CountQuery, cap: int = MITM_CAP) -> CountResult:
     bound = sum(max(options) for options in weights) + goal + 1
     dtype = np.int64 if bound < 2**63 else object
     entry_bytes = 8 if dtype is np.int64 else 8 + sys.getsizeof(bound)
-    estimate = (sizes[half] + sizes[-1] // sizes[half]) * entry_bytes
+    count_bytes = 16 if mode == MODE_EXACT else 8
+    estimate = (sizes[half] + sizes[-1] // sizes[half]) * entry_bytes + sizes[half] * count_bytes
     if estimate > MITM_MEMORY_CAP:
         raise ValueError(
-            f"count_mitm refuses n={n}: its half sums need about {estimate / 2**20:.0f} MiB, "
-            f"over the {MITM_MEMORY_CAP // 2**20} MiB memory cap"
+            f"count_mitm refuses n={n}: its half sums and counts need about "
+            f"{estimate / 2**20:.0f} MiB, over the {MITM_MEMORY_CAP // 2**20} MiB memory cap"
         )
     left = _sorted_sums(weights[:half], dtype)
     right = _sorted_sums(weights[half:], dtype)

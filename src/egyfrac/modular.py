@@ -4,10 +4,14 @@ For an instance (q, I, s_max) the object of interest is which residues
 r mod q can be written as a sum of inverses of at most s_max distinct
 elements of I. Reachability is tracked per subset size in q-bit integers
 (bit r of layer k set iff r is reachable with exactly k elements), so the
-0/1-knapsack update is a rotate-and-or. Witness reconstruction walks a
-table of suffix layers and prefers the earliest element in instance
-order; for ascending instances that is the lexicographically smallest
-subset among those of minimum size.
+0/1-knapsack update is a rotate-and-or. One recurrence, _suffix_rows,
+adds the elements from the last to the first and yields a row of layers
+after each. iter_solutions keeps every row: its search prefers the
+earliest element in instance order and asks the row of the remaining
+suffix whether a branch completes; for ascending instances it finds the
+lexicographically smallest subset among those of minimum size first.
+residue_coverage keeps only the last row, the layers of all of I, so a
+large q never holds the whole table.
 
 dirichlet_shrink is a pigeonhole dilation: given directions d_i and box
 shape a_i it finds a multiplier T in [1, q) such that every T*d_i has a
@@ -99,21 +103,19 @@ def _rotate(mask: int, shift: int, q: int, full: int) -> int:
     return ((mask << shift) | (mask >> (q - shift))) & full
 
 
-def _suffix_layers(q: int, inverses: list[int], s_max: int) -> list[list[int]]:
-    """suffix[j][k]: bitmask of residues reachable with exactly k elements
-    drawn (with distinct indices) from inverses[j:]."""
+def _suffix_rows(q: int, inverses: list[int], s_max: int) -> Iterator[list[int]]:
+    """Rows for the suffixes inverses[j:], from j = m down to j = 0.
+
+    Index k of the row for inverses[j:] is the bitmask of residues reachable
+    with exactly k elements drawn (with distinct indices) from that suffix.
+    """
     full = (1 << q) - 1
-    m = len(inverses)
-    suffix = [[0] * (s_max + 1) for _ in range(m + 1)]
-    suffix[m][0] = 1
-    for j in range(m - 1, -1, -1):
-        prev = suffix[j + 1]
-        cur = suffix[j]
-        cur[0] = 1
-        shift = inverses[j] % q
-        for k in range(1, s_max + 1):
-            cur[k] = prev[k] | _rotate(prev[k - 1], shift, q, full)
-    return suffix
+    row = [1] + [0] * s_max
+    yield row
+    for inv in reversed(inverses):
+        shift = inv % q
+        row = [1] + [row[k] | _rotate(row[k - 1], shift, q, full) for k in range(1, s_max + 1)]
+        yield row
 
 
 def iter_solutions(
@@ -136,7 +138,7 @@ def iter_solutions(
                 return
         elems = instance.elements
         invs = [mod_inverse(e, q) for e in elems]
-        suffix = _suffix_layers(q, invs, instance.s_max)
+        suffix = list(_suffix_rows(q, invs, instance.s_max))[::-1]
         m = len(elems)
 
         def rec(j: int, t: int, k: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
@@ -181,16 +183,9 @@ def residue_coverage(instance: ModInstance) -> list[int | None]:
     if q == 1:
         return [0]
     invs = [mod_inverse(e, q) for e in instance.elements]
+    for layers in _suffix_rows(q, invs, instance.s_max):
+        pass
     full = (1 << q) - 1
-    # Forward 0/1 knapsack over exact sizes; layer k descending per element
-    # so an element is used at most once.
-    layers = [0] * (instance.s_max + 1)
-    layers[0] = 1
-    for inv in invs:
-        shift = inv % q
-        for k in range(instance.s_max, 0, -1):
-            if layers[k - 1]:
-                layers[k] |= _rotate(layers[k - 1], shift, q, full)
     out: list[int | None] = [None] * q
     seen = 0
     for k in range(instance.s_max + 1):

@@ -133,18 +133,20 @@ def test_cancel_rejects_prime_powers_without_a_pool(config, x0, match):
         cancel_prime_powers(config, x0)
 
 
+_SWEEP_STARTS_1200 = (
+    Fraction(1, 7),
+    Fraction(3, 11),
+    Fraction(2, 13),
+    Fraction(7, 25),
+    Fraction(13, 77),
+    Fraction(9, 44),
+)
+
+
 def test_cancel_progress_invariants():
     # larger n: roomy pools admit chains of three or four prime powers
     cfg = build_config(1200, Fraction(1), seed=3)
-    starts = (
-        Fraction(1, 7),
-        Fraction(3, 11),
-        Fraction(2, 13),
-        Fraction(7, 25),
-        Fraction(13, 77),
-        Fraction(9, 44),
-    )
-    for x0 in starts:
+    for x0 in _SWEEP_STARTS_1200:
         steps, x_f = cancel_prime_powers(cfg, x0)
         qs = [s.q for s in steps]
         assert qs == sorted(qs, reverse=True)
@@ -158,12 +160,49 @@ def test_cancel_progress_invariants():
         assert cfg.K % x_f.denominator == 0
 
 
+def _largest_key_dividing(cfg, x):
+    """The largest pool key dividing den(x), by a scan over every key."""
+    return max((q for q in cfg.pools if x.denominator % q == 0), default=None)
+
+
+def _assert_sweep_takes_largest_keys(cfg, x0, steps, x_f):
+    cur = x0
+    for step in steps:
+        assert step.q == _largest_key_dividing(cfg, cur)
+        cur = step.x_after
+    assert cur == x_f
+    assert _largest_key_dividing(cfg, x_f) is None
+
+
+def test_sweep_order_matches_a_full_key_scan():
+    # the sweep tests each key once, in descending order; a step's q must
+    # still be the largest key dividing the remainder's denominator
+    cfg = build_config(1200, Fraction(1), seed=3)
+    remainders = [(x0, ()) for x0 in _SWEEP_STARTS_1200]
+    for attempt in range(20):
+        base = sample_base_set(cfg, attempt=attempt)
+        remainders.append((cfg.x - reciprocal_sum(base), base))
+    swept = 0
+    for x0, base in remainders:
+        try:
+            steps, x_f = cancel_prime_powers(cfg, x0, used=base)
+        except CancelStepError:
+            continue
+        _assert_sweep_takes_largest_keys(cfg, x0, steps, x_f)
+        swept += 1
+    assert swept >= 10
+    for x in (Fraction(1), Fraction(3, 4)):
+        trace = construct_representation(5000, x, seed=1)
+        assert trace.success and len(trace.steps) > 20
+        cfg = build_config(5000, x, seed=1)
+        x0 = x - reciprocal_sum(trace.base_set)
+        _assert_sweep_takes_largest_keys(cfg, x0, trace.steps, trace.x_f)
+
+
 def test_reservoir_decompositions(config):
     assert reservoir_decompose(config, Fraction(0)) == ()
     assert reservoir_decompose(config, Fraction(1, 12)) == (1,)
     assert reservoir_decompose(config, Fraction(1, 6)) == (1, 2, 3, 6)
-    assert reservoir_decompose(config, Fraction(1, 12), available=range(2, 7)) == (2, 3, 6)
-    assert reservoir_decompose(config, Fraction(1, 12), available=[2, 3]) is None
     # goal 4 exceeds the whole harmonic mass of [1, 10]
     assert reservoir_decompose(config, Fraction(1, 3)) is None
 
@@ -173,12 +212,6 @@ def test_reservoir_decompose_validation(config):
         reservoir_decompose(config, Fraction(49, 240))
     with pytest.raises(ValueError):
         reservoir_decompose(config, Fraction(-1, 12))
-    with pytest.raises(ValueError):
-        reservoir_decompose(config, Fraction(1, 12), available=[0, 3])
-    assert (
-        reservoir_decompose(config, Fraction(1, 12), available=range(2, 7), node_budget=0)
-        is None
-    )
 
 
 def test_verify_representation():

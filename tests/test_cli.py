@@ -225,6 +225,33 @@ def test_budget_truncation_exit_3(capsys):
     assert code == 1
 
 
+_SUBCOMMAND_ARGV = {
+    "count": ["--n", "6", "--x", "1/1"],
+    "entropy": ["--n", "50", "--x", "1/1"],
+    "lambda": ["--x", "1/1"],
+    "cx": ["--x", "1/1"],
+    "simulate": ["--n", "50", "--x", "1/1", "--trials", "20"],
+    "modcover": ["--q", "13", "--lo", "2", "--hi", "10", "--smax", "3"],
+    "construct": ["--n", "120", "--x", "1/1"],
+    "sieve": ["--n", "100", "--t", "10"],
+    "verify": ["--n", "6", "--x", "1/1", "--set", "2,3,6"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_ARGV))
+def test_budget_only_where_honoured(capsys, command):
+    argv = [command] + _SUBCOMMAND_ARGV[command]
+    code, out, err = invoke(capsys, argv + ["--budget", "60"])
+    if command in ("simulate", "construct"):
+        assert code == 0, err
+        assert "truncated" not in json.loads(out)
+    else:
+        # the other subcommands would ignore a budget, so they reject it
+        assert code == 2
+        assert out == ""
+        assert "--budget" in err
+
+
 def test_validate_record_requires_command_keys():
     with pytest.raises(ValueError):
         validate_record({"command": "count"})

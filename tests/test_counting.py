@@ -16,6 +16,7 @@ from math import lcm
 import numpy as np
 import pytest
 
+from egyfrac import counting
 from egyfrac.counting import (
     MODE_AT_MOST,
     MODE_EXACT,
@@ -355,6 +356,15 @@ def test_mitm_refuses_past_the_memory_estimate():
     with pytest.raises(ValueError, match="MiB"):
         count_mitm(CountQuery(48, Fraction(1), MODE_AT_MOST))
     assert time.perf_counter() - start < 1.0
+
+
+def test_mitm_estimate_counts_the_searchsorted_results(monkeypatch):
+    # n = 40 atmost holds 2 * 2**20 int64 half sums (16 MiB) and 2**20 int64
+    # counts (8 MiB); under a 20 MiB cap only an estimate with the counts
+    # refuses it
+    monkeypatch.setattr(counting, "MITM_MEMORY_CAP", 20 * 2**20)
+    with pytest.raises(ValueError, match="24 MiB"):
+        count_mitm(CountQuery(40, Fraction(1), MODE_AT_MOST))
 
 
 def test_mitm_huge_target_takes_exact_ints():
