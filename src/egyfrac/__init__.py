@@ -7,6 +7,14 @@ constructs explicit representations through modular cancellation plus an
 exact reservoir finish.
 """
 
+import os
+
+# One BLAS thread unless the user set otherwise, before numpy loads: a threaded
+# dot product sums in another order, so seeded records would depend on the host.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 __version__ = "0.1.0"
 
 from .exactmath import (

@@ -25,6 +25,11 @@ Element disjointness across stages is enforced by a shared used-set: the
 reservoir never appears in stage 1 or 2, and stage 2 consults the used-set
 before taking any multiple.
 
+build_config's tables (reservoir, universe, pools, base profile) depend on
+(n, x, L) only; they are cached for the latest (n, x, L) and shared, never
+mutated, by the configs of every seed, so a run over consecutive seeds
+builds them once.
+
 Five settings are constants of AbsorptionConfig: the held-back mass share
 eta = 1/4, the witness size cap s_max = 12, the alt_limit = 10 witnesses
 tried per step, pool_margin = 24, which bounds the universe's prime powers
@@ -34,10 +39,12 @@ by n // pool_margin, and the reservoir search's node_budget = 2,000,000.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
-from typing import ClassVar, Iterable
+from types import MappingProxyType
+from typing import ClassVar, Iterable, Mapping
 
 import numpy as np
 
@@ -51,7 +58,7 @@ from .exactmath import (
     reciprocal_sum,
 )
 from .modelsim import _trial_rng
-from .modular import iter_solutions, make_instance, mod_inverse
+from .modular import ModInstance, iter_solutions, mod_inverse
 
 __all__ = [
     "AbsorptionConfig",
@@ -86,7 +93,7 @@ class AbsorptionConfig:
     seed: int
     reservoir: frozenset[int]
     universe: tuple[int, ...]
-    pools: dict[int, tuple[int, ...]] = field(repr=False)
+    pools: Mapping[int, tuple[int, ...]] = field(repr=False)
     base_profile: EntropyProfile = field(repr=False)
     max_attempts: int = 50
     eta: ClassVar[Fraction] = Fraction(1, 4)
@@ -126,7 +133,9 @@ def build_config(
 ) -> AbsorptionConfig:
     """Precompute the reservoir, sampling universe and per-prime-power pools.
 
-    The universe keeps only m whose maximal prime powers are at most
+    Only seed and max_attempts are set per call; the rest is cached for the
+    latest (n, x, L) and shared, and the pools are a read-only mapping. The
+    universe keeps only m whose maximal prime powers are at most
     max(L, n // pool_margin), with pool_margin = 24 a constant of
     AbsorptionConfig (as are eta = 1/4, s_max = 12 and alt_limit = 10):
     every prime power the base set can push into the denominator then has
@@ -138,7 +147,12 @@ def build_config(
     otherwise the sweep spends its mass budget on early steps and the small
     prime powers at the tail cannot be cancelled without going negative.
     """
-    x = Fraction(x)
+    return replace(_tables(n, Fraction(x), L), seed=int(seed), max_attempts=max_attempts)
+
+
+@lru_cache(maxsize=1)
+def _tables(n: int, x: Fraction, L: int) -> AbsorptionConfig:
+    """build_config's seed-independent work, as a config with the default seed."""
     if x <= 0:
         raise ValueError(f"x must be positive, got {x}")
     if L < 2:
@@ -180,12 +194,11 @@ def build_config(
         x=x,
         L=L,
         K=K,
-        seed=int(seed),
+        seed=0,
         reservoir=reservoir,
         universe=universe,
-        pools=pools,
+        pools=MappingProxyType(pools),
         base_profile=base_profile,
-        max_attempts=max_attempts,
     )
 
 
@@ -202,7 +215,7 @@ def sample_base_set(config: AbsorptionConfig, attempt: int = 0) -> tuple[int, ..
     for _ in range(200):
         u = rng.random(members.size)
         chosen = members[u < p]
-        a0 = tuple(int(v) for v in chosen)
+        a0 = tuple(chosen.tolist())
         if reciprocal_sum(a0) <= target:
             return a0
     raise RuntimeError("base-set sampling failed the mass bound 200 times in a row")
@@ -249,7 +262,8 @@ def cancel_prime_powers(
             raise RuntimeError(f"cancellation target for q={q} degenerated to zero")
 
         avail = [b for b in pool if (q * b) not in taken]
-        instance = make_instance(q, avail, config.s_max)
+        # pool members are distinct units mod q: make_instance would keep them all
+        instance = ModInstance(q, tuple(avail), config.s_max)
         chosen = None
         mass = None
         for cand in iter_solutions(instance, target, limit=config.alt_limit):

@@ -59,8 +59,14 @@ def reciprocal_sum(elements: Iterable[int]) -> Fraction:
 
     Leaves of _LEAF consecutive elements are folded as unreduced integer
     pairs and reduced once, then merged pairwise so operands stay balanced.
+    A list of plain ints is checked with one min(); any other element type
+    is checked one element at a time.
     """
-    items = [_check_positive_int(m, "element") for m in elements]
+    items = list(elements)
+    if set(map(type, items)) - {int}:
+        items = [_check_positive_int(m, "element") for m in items]
+    elif items and min(items) < 1:
+        raise ValueError(f"element must be >= 1, got {min(items)}")
     if len(set(items)) != len(items):
         raise ValueError("elements must be distinct")
     parts = []

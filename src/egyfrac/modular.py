@@ -6,12 +6,16 @@ elements of I. Reachability is tracked per subset size in q-bit integers
 (bit r of layer k set iff r is reachable with exactly k elements), so the
 0/1-knapsack update is a rotate-and-or. One recurrence, _suffix_rows,
 adds the elements from the last to the first and yields a row of layers
-after each. iter_solutions keeps every row: its search prefers the
-earliest element in instance order and asks the row of the remaining
-suffix whether a branch completes; for ascending instances it finds the
-lexicographically smallest subset among those of minimum size first.
-residue_coverage keeps only the last row, the layers of all of I, so a
-large q never holds the whole table.
+after each. Layer k depends only on layers below it, so rows built with
+s layers hold exactly the first s layers of any wider table.
+iter_solutions searches sizes in increasing order and, for each size s,
+keeps every row built with layers 0..s only: a witness of size 1 costs
+one layer per element, not s_max. Its search prefers the earliest element
+in instance order and asks the row of the remaining suffix whether a
+branch completes; for ascending instances it finds the lexicographically
+smallest subset among those of minimum size first. residue_coverage keeps
+only the last row, the s_max + 1 layers of all of I, so a large q never
+holds the whole table.
 
 dirichlet_shrink is a pigeonhole dilation: given directions d_i and box
 shape a_i it finds a multiplier T in [1, q) such that every T*d_i has a
@@ -25,6 +29,8 @@ from dataclasses import dataclass
 from itertools import islice
 from math import gcd, prod
 from typing import Iterable, Iterator
+
+import numpy as np
 
 __all__ = [
     "ModInstance",
@@ -95,26 +101,21 @@ def mod_inverse(a: int, q: int) -> int:
     return pow(a, -1, q)
 
 
-def _rotate(mask: int, shift: int, q: int, full: int) -> int:
-    """Rotate a q-bit residue set: bit r moves to (r + shift) mod q."""
-    shift %= q
-    if shift == 0:
-        return mask
-    return ((mask << shift) | (mask >> (q - shift))) & full
-
-
 def _suffix_rows(q: int, inverses: list[int], s_max: int) -> Iterator[list[int]]:
     """Rows for the suffixes inverses[j:], from j = m down to j = 0.
 
     Index k of the row for inverses[j:] is the bitmask of residues reachable
     with exactly k elements drawn (with distinct indices) from that suffix.
+    Adding an element of inverse i rotates layer k - 1 (bit r moves to
+    (r + i) mod q) into layer k.
     """
     full = (1 << q) - 1
     row = [1] + [0] * s_max
     yield row
     for inv in reversed(inverses):
         shift = inv % q
-        row = [1] + [row[k] | _rotate(row[k - 1], shift, q, full) for k in range(1, s_max + 1)]
+        back = q - shift
+        row = [1] + [cur | ((prev << shift | prev >> back) & full) for cur, prev in zip(row[1:], row)]
         yield row
 
 
@@ -125,7 +126,8 @@ def iter_solutions(
 
     Every yielded subset has distinct elements and size at most s_max. The
     suffix-layer masks prune the search so each explored branch completes to
-    at least one solution.
+    at least one solution. The masks for size s are built when the search
+    reaches s, with layers 0..s only, and built again for each larger size.
     """
     q = instance.q
     if not 0 <= target < max(q, 1):
@@ -137,8 +139,7 @@ def iter_solutions(
             if q == 1:
                 return
         elems = instance.elements
-        invs = [mod_inverse(e, q) for e in elems]
-        suffix = list(_suffix_rows(q, invs, instance.s_max))[::-1]
+        invs = [pow(e, -1, q) for e in elems]  # an instance's elements are units mod q
         m = len(elems)
 
         def rec(j: int, t: int, k: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
@@ -154,6 +155,8 @@ def iter_solutions(
                     acc.pop()
 
         for size in range(1, instance.s_max + 1):
+            # rec reads this size's rows, which replace the smaller size's
+            suffix = list(_suffix_rows(q, invs, size))[::-1]
             if (suffix[0][size] >> target) & 1:
                 yield from rec(0, target, size, [])
 
@@ -182,19 +185,17 @@ def residue_coverage(instance: ModInstance) -> list[int | None]:
     q = instance.q
     if q == 1:
         return [0]
-    invs = [mod_inverse(e, q) for e in instance.elements]
+    invs = [pow(e, -1, q) for e in instance.elements]
     for layers in _suffix_rows(q, invs, instance.s_max):
         pass
-    full = (1 << q) - 1
+    nbytes = (q + 7) // 8
     out: list[int | None] = [None] * q
     seen = 0
-    for k in range(instance.s_max + 1):
-        new = layers[k] & ~seen & full
-        while new:
-            low = new & (-new)
-            out[low.bit_length() - 1] = k
-            new ^= low
-        seen |= layers[k]
+    for k, layer in enumerate(layers):
+        new = np.frombuffer((layer & ~seen).to_bytes(nbytes, "little"), dtype=np.uint8)
+        for r in np.flatnonzero(np.unpackbits(new, bitorder="little")).tolist():
+            out[r] = k
+        seen |= layer
     return out
 
 

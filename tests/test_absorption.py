@@ -326,3 +326,14 @@ def test_replay_rejects_tampered_traces():
     bad = json.loads(json.dumps(good))
     bad["D"] = bad["D"][:-1] if bad["D"] else [1]
     assert not replay_trace(bad)
+
+
+def test_configs_share_the_tables_of_one_n_x_l():
+    a = build_config(400, Fraction(1), seed=1)
+    b = build_config(400, Fraction(1), seed=2)
+    assert (a.seed, b.seed) == (1, 2)
+    assert a.pools is b.pools
+    assert a.universe is b.universe
+    assert a.base_profile is b.base_profile
+    with pytest.raises(TypeError):
+        a.pools[5] = ()

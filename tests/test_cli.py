@@ -335,3 +335,35 @@ def test_simulate_budget_is_checked_before_every_trial(capsys, monkeypatch):
     est = estimate_prob_at_most(discrete_profile(300, 1.0), Fraction(1), k, 5)
     assert record["estimate"] == est.estimate
     assert record["stderr"] == est.stderr
+
+
+def test_construct_count_matches_single_seed_runs(capsys, tmp_path):
+    # the seeds of one --count run share build_config's cached tables
+    base = ["construct", "--n", "400", "--x", "1/1"]
+    together = tmp_path / "together.json"
+    record_of(capsys, base + ["--seed", "4", "--count", "3", "--trace", str(together)])
+    singles = []
+    for seed in (4, 5, 6):
+        path = tmp_path / f"single{seed}.json"
+        record_of(capsys, base + ["--seed", str(seed), "--trace", str(path)])
+        singles.append(json.loads(path.read_text()))
+    assert json.loads(together.read_text()) == singles
+
+
+def test_simulate_record_ignores_the_blas_thread_setting():
+    # a multi-threaded BLAS dot product sums in another order; the package
+    # defaults it to one thread, so an unset variable must give the same record
+    argv = ["simulate", "--n", "100000", "--x", "1/1", "--trials", "800", "--seed", "5"]
+    src = str(Path(egyfrac.__file__).resolve().parents[1])
+    records = []
+    for threads in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "egyfrac.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        records.append(strip_timestamps(json.loads(proc.stdout)))
+    assert records[0] == records[1]

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm, log
 
+import numpy as np
 import pytest
 
 from egyfrac.exactmath import (
@@ -265,3 +266,15 @@ def test_fractions_stay_normalized():
         s = reciprocal_sum(items)
         assert gcd(s.numerator, s.denominator) == 1
         assert s.denominator >= 1
+
+
+def test_reciprocal_sum_accepts_numpy_integers():
+    assert reciprocal_sum(np.array([2, 3, 6], dtype=np.int64)) == Fraction(1)
+    assert reciprocal_sum([np.int64(2), 3, np.uint16(6)]) == Fraction(1)
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, True])
+def test_reciprocal_sum_rejects_a_bad_last_element(bad):
+    # plain ints are checked with one min(); anything else one at a time
+    with pytest.raises(ValueError):
+        reciprocal_sum(list(range(2, 501)) + [bad])

@@ -190,3 +190,31 @@ def test_dirichlet_shrink_validation():
         dirichlet_shrink(10, [1, 2], [3])
     with pytest.raises(ValueError):
         dirichlet_shrink(10, [1], [0])
+
+
+def test_iter_solutions_matches_brute_on_random_instances():
+    # the rows are rebuilt per searched size, so targets whose smallest sizes
+    # have no solution exercise the rebuild before the first witness
+    rng = random.Random(2024)
+    late = 0
+    for _ in range(60):
+        q = rng.randrange(2, 40)
+        elements = sorted(rng.sample(range(1, 60), rng.randrange(1, 10)))
+        inst = make_instance(q, elements, rng.randrange(1, 7))
+        limit = rng.choice([None, 1, 3, 10])
+        for target in range(q):
+            brute = brute_solutions(inst, target)
+            assert list(iter_solutions(inst, target, limit=limit)) == brute[:limit]
+            late += bool(brute) and len(brute[0]) >= 3
+    assert late > 0
+
+
+@pytest.mark.parametrize("q", [255, 256, 257, 1009])
+def test_residue_coverage_across_byte_boundaries(q):
+    inst = make_instance(q, range(10, 22), 4)
+    cover = residue_coverage(inst)
+    assert len(cover) == q
+    for r, size in enumerate(cover):
+        sol = min_subset_inverse_sum(inst, r)
+        assert (sol.size if sol is not None else None) == size
+    assert None in cover and max(c for c in cover if c is not None) == 4
