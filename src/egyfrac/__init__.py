@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 
 from .exactmath import (
     FactorSieve,
-    Rational,
     harmonic,
     is_powersmooth,
     lcm_range,

@@ -16,14 +16,10 @@ from typing import Iterable
 
 import numpy as np
 
-# Exact rationals are stdlib fractions: normalized num/den, den >= 1, gcd 1.
-Rational = Fraction
-
 # Elements per leaf of reciprocal_sum; bounds a leaf's unreduced denominator.
 _LEAF = 64
 
 __all__ = [
-    "Rational",
     "FactorSieve",
     "reciprocal_sum",
     "harmonic",

@@ -5,7 +5,9 @@ inclusion probability p_m; the random reciprocal sum is Z = sum over included
 m of 1/m. Moments of Z have closed forms in the p_m. Sampling uses the
 counter-based Philox generator keyed by (seed, trial), so every trial's draw
 vector is reproducible in isolation: batch size and evaluation order cannot
-change any outcome.
+change any outcome. A run of trials re-keys one Philox in place before each
+trial and draws into one reused buffer; each trial's stream is the one a
+fresh Philox keyed (seed, trial) would give.
 """
 
 from __future__ import annotations
@@ -80,10 +82,28 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """The Philox generator keyed (seed, trial): trial t's stream in isolation."""
-    key = np.array([seed, trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _trial_rng(
+    seed: int, trial: int, rng: np.random.Generator | None = None
+) -> np.random.Generator:
+    """A generator at the start of trial's stream: Philox key (seed, trial), counter 0.
+
+    Given a Philox-backed rng, re-keys it in place and returns it; otherwise
+    builds one. The buffer is emptied too, or words a previous stream left
+    in it would lead the new one. Either way the stream equals that of
+    Generator(Philox(key=np.array([seed, trial], dtype=np.uint64))).
+    """
+    if rng is None:
+        rng = np.random.Generator(np.random.Philox(key=0))
+    # The setter copies word by word, so plain ints serve and no array is built.
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, trial)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def _inclusion_masks(
@@ -91,12 +111,21 @@ def _inclusion_masks(
 ) -> Iterator[np.ndarray]:
     """Trial t's inclusion mask, u < p with u drawn by key (seed, t), for t < trials.
 
-    Past a deadline (time.monotonic value) no further trial is drawn.
+    The mask is float64, 1.0 where m is included and 0.0 elsewhere, so it
+    dots with float weights without a cast. Every trial re-keys one Philox
+    and overwrites one buffer: the array yielded for trial t is overwritten
+    by trial t + 1, so a caller that keeps it must copy it. Past a deadline
+    (time.monotonic value) no further trial is drawn.
     """
+    rng = None
+    u = np.empty(profile.n, dtype=np.float64)
     for t in range(trials):
         if deadline is not None and time.monotonic() > deadline:
             return
-        yield _trial_rng(seed, t).random(profile.n) < profile.p
+        rng = _trial_rng(seed, t, rng)
+        rng.random(out=u)
+        np.less(u, profile.p, out=u)
+        yield u
 
 
 def sample_model(profile: EntropyProfile, seed: int) -> ModelSample:

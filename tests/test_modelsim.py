@@ -7,7 +7,7 @@ trial, one key, regardless of batching.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 import pytest
@@ -15,6 +15,8 @@ import pytest
 from egyfrac.entropy import EntropyProfile, discrete_profile
 from egyfrac.modelsim import (
     ModelSample,
+    _inclusion_masks,
+    _trial_rng,
     estimate_prob_at_most,
     model_moments,
     sample_model,
@@ -163,3 +165,59 @@ def test_input_validation():
         sample_model(prof, seed=-1)
     with pytest.raises(ValueError):
         sample_model(prof, seed=2**64)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 1001])
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+def test_inclusion_masks_match_a_fresh_generator_per_trial(n, seed):
+    # odd n leaves words in Philox's buffer after a trial; a re-key that kept
+    # them would shift the next trial's draws. The key is a uint64 array: a
+    # list holding 2**64 - 1 is cast through a signed type and loses the seed.
+    prof = tiny_profile(np.linspace(0.05, 0.95, n))
+    trials = 0
+    for t, mask in enumerate(_inclusion_masks(prof, seed, 6)):
+        key = np.array([seed, t], dtype=np.uint64)
+        oracle = np.random.Generator(np.random.Philox(key=key)).random(n) < prof.p
+        assert mask.dtype == np.float64
+        assert np.array_equal(mask, oracle)
+        trials += 1
+    assert trials == 6
+
+
+def test_trial_rng_rekey_forgets_the_previous_stream():
+    # a 32-bit draw leaves half a word behind (has_uint32), an odd count of
+    # doubles leaves buffered words; neither may reach the re-keyed stream
+    rng = _trial_rng(3, 0)
+    rng.integers(0, 2**32, size=3, dtype=np.uint32)
+    rng.random(5)
+    again = _trial_rng(3, 4, rng)
+    assert again is rng
+    fresh = np.random.Generator(np.random.Philox(key=[3, 4]))
+    assert np.array_equal(
+        again.integers(0, 2**32, size=9, dtype=np.uint32),
+        fresh.integers(0, 2**32, size=9, dtype=np.uint32),
+    )
+    assert np.array_equal(again.random(7), fresh.random(7))
+
+
+def test_estimate_is_pinned_at_n1001_seed7():
+    est = estimate_prob_at_most(discrete_profile(1001, 1.0), 1, 3000, seed=7)
+    assert est.estimate == 1550 / 3000
+    assert est.trials == 3000
+
+
+def test_deadline_cut_keeps_the_first_trials(monkeypatch):
+    # the clock advances one second per read and the estimator reads it once
+    # before each trial, so a deadline of k - 0.5 lets exactly k trials run
+    prof = discrete_profile(301, 1.0)
+    k, total = 7, 40
+    hits = sample_z_values(prof, total, seed=11) <= 1.0
+    uncut = estimate_prob_at_most(prof, Fraction(1), total, seed=11)
+    assert uncut.exact_fallbacks == 0
+    assert uncut.estimate == hits.sum() / total
+    clock = count()
+    monkeypatch.setattr("egyfrac.modelsim.time.monotonic", lambda: float(next(clock)))
+    cut = estimate_prob_at_most(prof, Fraction(1), total, seed=11, deadline=k - 0.5)
+    assert cut.trials == k
+    assert cut.estimate == hits[:k].sum() / k
+    assert cut == estimate_prob_at_most(prof, Fraction(1), k, seed=11)
