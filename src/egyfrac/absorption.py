@@ -4,7 +4,11 @@ Stages, each exact-rational end to end:
 
 1.  Sample a base set A0 from a max-entropy profile restricted to a
     universe of reservoir-free, moderately powersmooth integers, rejecting
-    until s(A0) <= (1 - eta) * x, so a slice of mass is held back.
+    until s(A0) <= (1 - eta) * x, so a slice of mass is held back. Each
+    draw is judged by a float64 sum whose rounding error, for n up to 4e6,
+    provably stays inside an exact-fallback band (see sample_base_set), so
+    a rejected draw is never summed exactly and the accepted one is summed
+    exactly once, for x0 = x - s(A0).
 2.  Cancel denominator prime powers of the remainder x0 = x - s(A0) in
     descending order: for the largest prime power q > L dividing den(x_i),
     pick a small set B of cofactors b (coprime to q, each maximal prime
@@ -57,7 +61,7 @@ from .exactmath import (
     prime_powers_in,
     reciprocal_sum,
 )
-from .modelsim import _trial_rng
+from .modelsim import _EXACT_BAND, _check_seed, _trial_rng
 from .modular import ModInstance, iter_solutions, mod_inverse
 
 __all__ = [
@@ -133,7 +137,8 @@ def build_config(
 ) -> AbsorptionConfig:
     """Precompute the reservoir, sampling universe and per-prime-power pools.
 
-    Only seed and max_attempts are set per call; the rest is cached for the
+    Only seed and max_attempts are set per call (a seed outside [0, 2**64)
+    raises ValueError before any table is built); the rest is cached for the
     latest (n, x, L) and shared, and the pools are a read-only mapping. The
     universe keeps only m whose maximal prime powers are at most
     max(L, n // pool_margin), with pool_margin = 24 a constant of
@@ -147,7 +152,8 @@ def build_config(
     otherwise the sweep spends its mass budget on early steps and the small
     prime powers at the tail cannot be cancelled without going negative.
     """
-    return replace(_tables(n, Fraction(x), L), seed=int(seed), max_attempts=max_attempts)
+    seed = _check_seed(seed)  # before any table is built
+    return replace(_tables(n, Fraction(x), L), seed=seed, max_attempts=max_attempts)
 
 
 @lru_cache(maxsize=1)
@@ -205,18 +211,35 @@ def _tables(n: int, x: Fraction, L: int) -> AbsorptionConfig:
 def sample_base_set(config: AbsorptionConfig, attempt: int = 0) -> tuple[int, ...]:
     """Draw A0 from the restricted profile until s(A0) <= (1 - eta) * x.
 
-    The acceptance test is exact rational; the profile mean equals the
-    target, so roughly half of all draws pass.
+    The profile mean equals the target, so roughly half of all draws pass.
+    Each draw is screened by the float64 dot z of its 0/1 mask with 1/m,
+    against band = 1e-9 * max(1, target), modelsim's exact-band rule: z
+    above the target by more than the band rejects the draw, z below it by
+    more accepts it, and only a draw inside the band is summed exactly.
+
+    The screen agrees with the exact test while |z - s(A0)| stays under the
+    band. With u = 2**-53, each 1/m is rounded once and its product with 0
+    or 1 is exact, so a sum of at most n terms in any order has
+    |z - s(A0)| <= n * u / (1 - n * u) * s(A0). A wrong verdict needs z
+    beyond the band on one side of the target and s(A0) on the other, so
+    s(A0) is within about a band of the target and |z - s(A0)| exceeds the
+    band less the u * target of rounding the target to float. For n up to
+    4e6, n * u < 4.5e-10: the error stays under half the band.
     """
     target = (1 - config.eta) * config.x
     members = np.asarray(config.universe, dtype=np.int64)
     p = config.base_profile.p[members - 1]
+    inv = 1.0 / members
+    tf = float(target)
+    band = _EXACT_BAND * max(1.0, tf)
     rng = _trial_rng(config.seed, attempt)
     for _ in range(200):
-        u = rng.random(members.size)
-        chosen = members[u < p]
-        a0 = tuple(chosen.tolist())
-        if reciprocal_sum(a0) <= target:
+        mask = rng.random(members.size) < p
+        z = float(np.dot(mask, inv))
+        if z > tf + band:
+            continue
+        a0 = tuple(members[mask].tolist())
+        if z < tf - band or reciprocal_sum(a0) <= target:
             return a0
     raise RuntimeError("base-set sampling failed the mass bound 200 times in a row")
 

@@ -4,6 +4,9 @@ Every subcommand emits a single JSON record on stdout: the result payload
 plus run metadata (command, parameters, started/finished timestamps,
 version). Rationals are rendered as "p/q" strings and potentially huge
 counts as decimal strings, so records survive JSON round trips losslessly.
+Records and construct --trace files are written by _to_json, which emits
+the bytes of json.dumps(obj, indent=2, sort_keys=True) with the long int
+lists of construct traces joined in C.
 --format csv is available for the tabular payloads (entropy profiles,
 coverage histograms). A relative --out path is resolved against
 EGYFRAC_OUT_DIR when that variable is set.
@@ -24,15 +27,16 @@ import sys
 import time
 from datetime import datetime, timezone
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import __version__
 from .absorption import construct_representation, trace_to_dict, verify_representation
 from .counting import MODE_AT_MOST, MODE_EXACT, CountQuery, count_brute, count_mitm
-from .entropy import continuous_lambda, cx_constant, discrete_profile, _lambda_integral
+from .entropy import continuous_lambda, cx_constant, discrete_profile
 from .exactmath import _frac_str, powersmooth_count, smooth_density_linear
-from .modelsim import estimate_prob_at_most, model_moments
+from .modelsim import _check_seed, estimate_prob_at_most, model_moments
 from .modular import make_instance, residue_coverage
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
@@ -157,12 +161,8 @@ def _cmd_entropy(args) -> dict:
 
 
 def _cmd_lambda(args) -> dict:
-    lam = continuous_lambda(float(args.x))
-    return {
-        "x": _frac_str(args.x),
-        "lambda": lam,
-        "residual": abs(_lambda_integral(lam) - float(args.x)),
-    }
+    lam, residual = continuous_lambda(float(args.x), with_residual=True)
+    return {"x": _frac_str(args.x), "lambda": lam, "residual": residual}
 
 
 def _cmd_cx(args) -> dict:
@@ -222,6 +222,9 @@ def _cmd_modcover(args) -> dict:
 def _cmd_construct(args, deadline: float | None) -> dict:
     if args.count < 1:
         raise ValueError("--count must be >= 1")
+    # Before any table is built; the seeds are consecutive, so the ends bound them all.
+    for seed in (args.seed, args.seed + args.count - 1):
+        _check_seed(seed)
     traces = []
     truncated = False
     for i in range(args.count):
@@ -232,11 +235,11 @@ def _cmd_construct(args, deadline: float | None) -> dict:
             args.n, args.x, seed=args.seed + i, deadline=deadline
         )
         traces.append(trace)
-    dicts = [trace_to_dict(t) for t in traces]
+    # Each trace is encoded once, for the --trace file and the record alike.
+    encoded = [_JSONText(_to_json(trace_to_dict(t))) for t in traces]
     if args.trace:
         with open(args.trace, "w") as fh:
-            json.dump(dicts[0] if len(dicts) == 1 else dicts, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_to_json(encoded[0] if len(encoded) == 1 else encoded) + "\n")
     out = {
         "n": args.n,
         "x": _frac_str(args.x),
@@ -245,7 +248,7 @@ def _cmd_construct(args, deadline: float | None) -> dict:
         "completed": len(traces),
         "succeeded": sum(1 for t in traces if t.success),
         "distinct": len({t.elements for t in traces if t.success}),
-        "traces": dicts,
+        "traces": encoded,
     }
     if truncated or any(t.reason and t.reason.startswith("budget") for t in traces):
         out["truncated"] = True
@@ -308,6 +311,46 @@ def validate_record(record: dict) -> None:
             raise ValueError(f"{command} record is missing {key!r}")
 
 
+class _JSONText(str):
+    """JSON text that _to_json made at depth 0; _to_json indents it to any depth."""
+
+
+def _to_json(obj, newline: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, with int lists joined in C.
+
+    With an indent, json drops to its pure-Python encoder. Here a non-empty
+    list, tuple or str-keyed dict is laid out the same way, a list of plain
+    ints (not bools) is joined in one str.join, and strings and ints take
+    json's own C encoders. Anything else (bools, None, floats, non-finite
+    ones included, empty containers and dicts with other keys) goes through
+    json.dumps, re-indented to its depth: JSON strings never hold a raw
+    newline, so every newline of that text is layout. For the same reason
+    a _JSONText, encoded once at depth 0, is re-indented, not re-encoded.
+    `newline` is a newline followed by the indentation of obj's depth.
+    """
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is _JSONText:
+        return obj.replace("\n", newline)
+    if kind is int:
+        return int.__repr__(obj)
+    str_keyed = kind is dict and all(type(k) is str for k in obj)
+    if obj and (kind is list or kind is tuple or str_keyed):
+        inner = newline + "  "
+        sep = "," + inner
+        if kind is dict:
+            items = sorted(obj.items())
+            body = sep.join(encode_basestring_ascii(k) + ": " + _to_json(v, inner) for k, v in items)
+            return "{" + inner + body + newline + "}"
+        if set(map(type, obj)) == {int}:
+            body = sep.join(map(int.__repr__, obj))
+        else:
+            body = sep.join(_to_json(v, inner) for v in obj)
+        return "[" + inner + body + newline + "]"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
+
+
 def _emit(record: dict, args, csv_rows) -> None:
     if getattr(args, "format", "json") == "csv":
         if csv_rows is None:
@@ -315,7 +358,7 @@ def _emit(record: dict, args, csv_rows) -> None:
         lines = ["%s" % ",".join(str(v) for v in row) for row in csv_rows]
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+        text = _to_json(record) + "\n"
     if getattr(args, "out", None):
         path = args.out
         base = os.environ.get("EGYFRAC_OUT_DIR")

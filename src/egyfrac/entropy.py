@@ -206,8 +206,12 @@ def _lambda_integral(lam: float) -> float:
     return _gauss_legendre(lambda s: _logistic(lam * np.exp(s)), knots, max_width=2.0)
 
 
-def continuous_lambda(x: float) -> float:
-    """Root of the logistic-mass equation; strictly decreasing in x."""
+def continuous_lambda(x: float, with_residual: bool = False) -> float | tuple[float, float]:
+    """Root of the logistic-mass equation; strictly decreasing in x.
+
+    With with_residual, returns (lambda, residual), the residual being
+    |integral(lambda) - x|, which the solve checks against its tolerance.
+    """
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"x must be positive and finite, got {x}")
@@ -230,7 +234,7 @@ def continuous_lambda(x: float) -> float:
     residual = abs(_lambda_integral(lam) - x)
     if residual > _INTEGRAL_RTOL * max(1.0, x):
         raise RuntimeError(f"lambda solve residual {residual:.3e} exceeds tolerance")
-    return lam
+    return (lam, residual) if with_residual else lam
 
 
 def cx_constant(x: float) -> ContinuousConstants:

@@ -6,15 +6,17 @@ elements of I. Reachability is tracked per subset size in q-bit integers
 (bit r of layer k set iff r is reachable with exactly k elements), so the
 0/1-knapsack update is a rotate-and-or. One recurrence, _suffix_rows,
 adds the elements from the last to the first and yields a row of layers
-after each. Layer k depends only on layers below it, so rows built with
-s layers hold exactly the first s layers of any wider table.
-iter_solutions searches sizes in increasing order and, for each size s,
-keeps every row built with layers 0..s only: a witness of size 1 costs
-one layer per element, not s_max. Its search prefers the earliest element
-in instance order and asks the row of the remaining suffix whether a
-branch completes; for ascending instances it finds the lexicographically
-smallest subset among those of minimum size first. residue_coverage keeps
-only the last row, the s_max + 1 layers of all of I, so a large q never
+after each. Layer k depends only on layers below it, so a table of rows
+with s layers grows to s + 1 layers by appending one layer to each row,
+last suffix first, and holds exactly the first s + 1 layers of any wider
+table. iter_solutions searches sizes in increasing order and keeps one
+such table: size 1 needs no rows, and each size s >= 2 appends layer
+s - 1, so a witness of size s costs s - 1 layers per element in all. Its
+search prefers the earliest element in instance order and asks the row
+of the remaining suffix whether a branch completes; for ascending
+instances it finds the lexicographically smallest subset among those of
+minimum size first. residue_coverage streams fresh rows of s_max + 1
+layers and keeps only the last, that of all of I, so a large q never
 holds the whole table.
 
 dirichlet_shrink is a pigeonhole dilation: given directions d_i and box
@@ -101,22 +103,41 @@ def mod_inverse(a: int, q: int) -> int:
     return pow(a, -1, q)
 
 
-def _suffix_rows(q: int, inverses: list[int], s_max: int) -> Iterator[list[int]]:
-    """Rows for the suffixes inverses[j:], from j = m down to j = 0.
+def _suffix_rows(
+    q: int, inverses: list[int], width: int, rows: list[list[int]] | None = None
+) -> Iterator[list[int]]:
+    """Rows of `width` layers for the suffixes inverses[j:], from j = m down to j = 0.
 
     Index k of the row for inverses[j:] is the bitmask of residues reachable
     with exactly k elements drawn (with distinct indices) from that suffix.
-    Adding an element of inverse i rotates layer k - 1 (bit r moves to
-    (r + i) mod q) into layer k.
+    Adding an element of inverse i rotates layer k - 1 of the next suffix's
+    row (bit r moves to (r + i) mod q) into layer k.
+
+    Streaming (rows is None): each row is built fresh from layer 0, and
+    only the one being built and the last one yielded are alive. Coverage
+    needs just the row of all of I, and at q = 100003 with s_max = 12 a
+    row is ~160 kB, so residue_coverage streams rather than hold ~50 MB of
+    rows. Extending (rows given): rows is a table of m + 1 rows indexed by
+    j that all hold layers 0..k-1, and each row is extended in place to
+    `width` layers, last suffix first, computing only layers k..width-1;
+    layer k depends only on layers below it, so the rows equal those of a
+    fresh build. iter_solutions keeps such a table and widens it by one
+    layer per searched size.
     """
     full = (1 << q) - 1
-    row = [1] + [0] * s_max
-    yield row
-    for inv in reversed(inverses):
-        shift = inv % q
+    m = len(inverses)
+    nxt = rows[m] if rows is not None else [1]
+    nxt += [0] * (width - len(nxt))
+    yield nxt
+    for j in range(m - 1, -1, -1):
+        row = rows[j] if rows is not None else [1]
+        shift = inverses[j] % q
         back = q - shift
-        row = [1] + [cur | ((prev << shift | prev >> back) & full) for cur, prev in zip(row[1:], row)]
+        for k in range(len(row), width):
+            prev = nxt[k - 1]
+            row.append(nxt[k] | ((prev << shift | prev >> back) & full))
         yield row
+        nxt = row
 
 
 def iter_solutions(
@@ -126,8 +147,12 @@ def iter_solutions(
 
     Every yielded subset has distinct elements and size at most s_max. The
     suffix-layer masks prune the search so each explored branch completes to
-    at least one solution. The masks for size s are built when the search
-    reaches s, with layers 0..s only, and built again for each larger size.
+    at least one solution, and a size with no solution costs one pass over
+    the elements. A search of size s reads layers 0..s-1 of the rows: layer
+    0 only says that a remaining target of 0 is reached with no element, so
+    size 1 is decided by comparing inverses and needs no rows, and on
+    reaching each size s >= 2 _suffix_rows appends layer s - 1 to the one
+    table of rows kept for this search.
     """
     q = instance.q
     if not 0 <= target < max(q, 1):
@@ -141,6 +166,7 @@ def iter_solutions(
         elems = instance.elements
         invs = [pow(e, -1, q) for e in elems]  # an instance's elements are units mod q
         m = len(elems)
+        suffix: list[list[int]] = []  # suffix[j]: the row of elems[j:], from size 2 on
 
         def rec(j: int, t: int, k: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
             if k == 0:
@@ -149,16 +175,17 @@ def iter_solutions(
                 return
             for jj in range(j, m - k + 1):
                 t2 = (t - invs[jj]) % q
-                if (suffix[jj + 1][k - 1] >> t2) & 1:
+                if t2 == 0 if k == 1 else (suffix[jj + 1][k - 1] >> t2) & 1:
                     acc.append(elems[jj])
                     yield from rec(jj + 1, t2, k - 1, acc)
                     acc.pop()
 
         for size in range(1, instance.s_max + 1):
-            # rec reads this size's rows, which replace the smaller size's
-            suffix = list(_suffix_rows(q, invs, size))[::-1]
-            if (suffix[0][size] >> target) & 1:
-                yield from rec(0, target, size, [])
+            if size >= 2:
+                suffix = suffix or [[1] for _ in range(m + 1)]
+                for _ in _suffix_rows(q, invs, size, suffix):
+                    pass
+            yield from rec(0, target, size, [])
 
     gen = emit()
     return gen if limit is None else islice(gen, limit)
@@ -186,7 +213,7 @@ def residue_coverage(instance: ModInstance) -> list[int | None]:
     if q == 1:
         return [0]
     invs = [pow(e, -1, q) for e in instance.elements]
-    for layers in _suffix_rows(q, invs, instance.s_max):
+    for layers in _suffix_rows(q, invs, instance.s_max + 1):
         pass
     nbytes = (q + 7) // 8
     out: list[int | None] = [None] * q

@@ -12,8 +12,10 @@ import time
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
+import egyfrac.absorption as absorption
 from egyfrac.absorption import (
     AbsorptionTrace,
     CancelStepError,
@@ -337,3 +339,44 @@ def test_configs_share_the_tables_of_one_n_x_l():
     assert a.base_profile is b.base_profile
     with pytest.raises(TypeError):
         a.pools[5] = ()
+
+
+def exact_only_base_set(config, attempt):
+    """sample_base_set with every draw summed exactly, on a Philox built here."""
+    target = (1 - config.eta) * config.x
+    members = np.asarray(config.universe, dtype=np.int64)
+    p = config.base_profile.p[members - 1]
+    key = np.array([config.seed, attempt], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    for _ in range(200):
+        a0 = tuple(members[rng.random(members.size) < p].tolist())
+        if reciprocal_sum(a0) <= target:
+            return a0
+    raise RuntimeError("oracle failed the mass bound 200 times")
+
+
+@pytest.mark.parametrize("n", [400, 5000])
+@pytest.mark.parametrize("x", [Fraction(1), Fraction(3, 4)])
+def test_float_screened_base_sets_match_exact_only_sampling(n, x):
+    for seed in range(31):
+        config = build_config(n, x, seed=seed)
+        for attempt in (0, 1):
+            assert sample_base_set(config, attempt) == exact_only_base_set(config, attempt)
+
+
+def test_base_set_draws_inside_the_band_are_summed_exactly(monkeypatch):
+    # a band of 0.05 puts many draws inside it, so both the exact fallback
+    # and the float verdicts on either side of the band are exercised
+    exact_calls = []
+
+    def counted(elements):
+        exact_calls.append(1)
+        return reciprocal_sum(elements)
+
+    monkeypatch.setattr(absorption, "_EXACT_BAND", 0.05)
+    monkeypatch.setattr(absorption, "reciprocal_sum", counted)
+    for seed in range(12):
+        config = build_config(400, Fraction(1), seed=seed)
+        for attempt in range(3):
+            assert sample_base_set(config, attempt) == exact_only_base_set(config, attempt)
+    assert exact_calls

@@ -18,7 +18,7 @@ from argparse import ArgumentTypeError
 
 import egyfrac
 from egyfrac.absorption import replay_trace
-from egyfrac.cli import parse_rational, run, validate_record
+from egyfrac.cli import _to_json, parse_rational, run, validate_record
 from egyfrac.entropy import discrete_profile
 from egyfrac.modelsim import estimate_prob_at_most
 from egyfrac.modular import make_instance, residue_coverage
@@ -367,3 +367,69 @@ def test_simulate_record_ignores_the_blas_thread_setting():
         assert proc.returncode == 0, proc.stderr
         records.append(strip_timestamps(json.loads(proc.stdout)))
     assert records[0] == records[1]
+
+
+_WRITER_EDGE_CASES = [
+    {},
+    [],
+    (),
+    {"a": {}, "b": [], "c": ()},
+    [[], {}, [[]], [{}]],
+    [True, False],
+    [1, True, 0, False],
+    [True],
+    [1, 2.5, None, "s"],
+    (1, (2, 3), ()),
+    {"t": (4, 5), "u": ((), (6,))},
+    "naïve ☃ \U0001f600",
+    'tab\t quote" backslash\\ newline\n nul\x00  ',
+    ["é", "", " "],
+    float("nan"),
+    float("inf"),
+    -float("inf"),
+    [float("nan"), float("inf"), -float("inf"), 1.0, -0.0, 1e300],
+    2**64,
+    -(2**64) - 1,
+    [2**64, 2**100, -3, 0],
+    {"big": 10**30, "neg": -(2**70)},
+    {"b": 1, "a": [1, 2], "c": {"z": None, "y": True, "x": [False]}},
+    {1: "int keys", 2: [3]},
+    {"é": 1, "e": 2, "": 3},
+    None,
+    True,
+    0.1,
+]
+
+
+@pytest.mark.parametrize("obj", _WRITER_EDGE_CASES, ids=range(len(_WRITER_EDGE_CASES)))
+def test_writer_matches_json_dumps_on_edge_cases(obj):
+    assert _to_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_ARGV))
+def test_writer_matches_json_dumps_on_every_record(tmp_path, command):
+    out = tmp_path / "record.json"
+    argv = [command] + _SUBCOMMAND_ARGV[command] + ["--out", str(out)]
+    if command == "construct":
+        argv += ["--count", "2", "--trace", str(tmp_path / "trace.json")]
+    assert run(argv) == 0
+    written = [out] + ([tmp_path / "trace.json"] if command == "construct" else [])
+    for path in written:
+        data = json.loads(path.read_text())
+        want = json.dumps(data, indent=2, sort_keys=True)
+        assert path.read_text() == want + "\n"
+        assert _to_json(data) == want
+
+
+@pytest.mark.parametrize(
+    "seed_args",
+    [["--seed", "-1"], ["--seed", str(2**64)], ["--seed", str(2**64 - 1), "--count", "2"]],
+)
+def test_construct_rejects_seeds_past_64_bits_before_any_work(capsys, monkeypatch, seed_args):
+    built = []
+    monkeypatch.setattr("egyfrac.cli.construct_representation", lambda *a, **k: built.append(a))
+    code, out, err = invoke(capsys, ["construct", "--n", "400", "--x", "1/1"] + seed_args)
+    assert code == 1
+    assert out == ""
+    assert "seed must fit in 64 bits" in err
+    assert built == []

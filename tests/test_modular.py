@@ -14,6 +14,7 @@ import pytest
 
 from egyfrac.modular import (
     ModSubsetSolution,
+    _suffix_rows,
     dirichlet_shrink,
     iter_solutions,
     make_instance,
@@ -218,3 +219,27 @@ def test_residue_coverage_across_byte_boundaries(q):
         sol = min_subset_inverse_sum(inst, r)
         assert (sol.size if sol is not None else None) == size
     assert None in cover and max(c for c in cover if c is not None) == 4
+
+
+def test_suffix_rows_extended_in_place_match_a_fresh_build():
+    # iter_solutions grows one table of rows a layer at a time; every width
+    # must give the rows a fresh build of that width gives, and both must
+    # hold the k-subset sums of each suffix found by enumeration
+    rng = random.Random(2024)
+    for _ in range(150):
+        q = rng.choice([2, 3, 5, 7, 11, 13, 17, 29, 31])
+        invs = [rng.randrange(1, q) for _ in range(rng.randint(0, 9))]
+        s_max = rng.randint(1, 6)
+        m = len(invs)
+        rows = [[1] for _ in range(m + 1)]
+        for width in range(2, s_max + 2):
+            for _ in _suffix_rows(q, invs, width, rows):
+                pass
+            fresh = list(_suffix_rows(q, invs, width))[::-1]
+            assert rows == fresh, (q, invs, width)
+            for j in range(m + 1):
+                for k in range(width):
+                    want = 0
+                    for combo in combinations(invs[j:], k):
+                        want |= 1 << (sum(combo) % q)
+                    assert rows[j][k] == want, (q, invs, j, k)
