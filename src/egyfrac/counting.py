@@ -220,19 +220,18 @@ def count_mitm(query: CountQuery, cap: int = MITM_CAP) -> CountResult:
     mode "atmost" stays int64 up to n = 42, and mode "exact", scaled by the
     lcm of the surviving block elements only, at every n the cap allows.
 
-    Before any sum is listed, the memory is estimated: the two half arrays
-    at 8 bytes an int64 entry, plus the searchsorted results at 8 bytes a
-    left sum (mode "atmost") or 16 (mode "exact", two arrays at once); a
-    query estimated above MITM_MEMORY_CAP bytes raises ValueError. An
-    object entry costs its 8-byte pointer, its int, taken at the bound's
-    size rounded up to the allocator's 16-byte blocks, and 4 bytes of the
-    stable sorts' merge buffers: sorting k entries holds up to k/2
-    pointers, and the allocator may keep the left half's buffer resident
-    while the right half is sorted. At n = 43 mode "atmost" this reads
-    376 MiB against 361 MiB measured above what the process held before
-    the call. The int64 path's merge buffers are not counted (4 bytes an
-    entry, 4 MiB of the 28 MiB measured at n = 40). At x = 1 mode
-    "atmost" is admitted up to n = 44 (512 MiB estimated, 498 MiB
+    Before any sum is listed, the memory is estimated: the two half arrays,
+    plus the searchsorted results at 8 bytes a left sum (mode "atmost") or
+    16 (mode "exact", two arrays at once); a query estimated above
+    MITM_MEMORY_CAP bytes raises ValueError. Every entry counts 4 bytes of
+    the stable sorts' merge buffers: sorting k entries holds up to k/2 of
+    them, and the allocator may keep the left half's buffer resident while
+    the right half is sorted. So an int64 entry costs 12 bytes, and an
+    object entry its 8-byte pointer, 4 bytes of buffer and its int, taken at
+    the bound's size rounded up to the allocator's 16-byte blocks. At n = 40
+    mode "atmost" this reads 32 MiB against 28.1 MiB measured above what the
+    process held before the call, and at n = 43 376 MiB against 361 MiB. At
+    x = 1 mode "atmost" is admitted up to n = 44 (512 MiB estimated, 498 MiB
     measured).
     """
     if query.n > cap:
@@ -260,7 +259,7 @@ def count_mitm(query: CountQuery, cap: int = MITM_CAP) -> CountResult:
         goal = (x.numerator * scale) // x.denominator
     bound = sum(max(options) for options in weights) + goal + 1
     dtype = np.int64 if bound < 2**63 else object
-    entry_bytes = 8 if dtype is np.int64 else 8 + -(-sys.getsizeof(bound) // 16) * 16 + 4
+    entry_bytes = 12 if dtype is np.int64 else 12 + -(-sys.getsizeof(bound) // 16) * 16
     count_bytes = 16 if mode == MODE_EXACT else 8
     estimate = (sizes[half] + sizes[-1] // sizes[half]) * entry_bytes + sizes[half] * count_bytes
     if estimate > MITM_MEMORY_CAP:

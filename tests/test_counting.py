@@ -359,11 +359,11 @@ def test_mitm_refuses_past_the_memory_estimate():
 
 
 def test_mitm_estimate_counts_the_searchsorted_results(monkeypatch):
-    # n = 40 atmost holds 2 * 2**20 int64 half sums (16 MiB) and 2**20 int64
-    # counts (8 MiB); under a 20 MiB cap only an estimate with the counts
-    # refuses it
+    # n = 40 atmost holds 2 * 2**20 int64 half sums (16 MiB), their sorts'
+    # merge buffers (8 MiB at 4 bytes an entry) and 2**20 int64 counts
+    # (8 MiB); the refusal's figure is the sum of all three
     monkeypatch.setattr(counting, "MITM_MEMORY_CAP", 20 * 2**20)
-    with pytest.raises(ValueError, match="24 MiB"):
+    with pytest.raises(ValueError, match="32 MiB"):
         count_mitm(CountQuery(40, Fraction(1), MODE_AT_MOST))
 
 

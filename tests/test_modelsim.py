@@ -3,19 +3,26 @@
 Closed-form moments are checked against an exhaustive enumeration of the
 subset law on tiny fabricated profiles, then against empirical Monte Carlo
 at moderate size. Reproducibility tests pin the counter-based keying: one
-trial, one key, regardless of batching.
+trial, one key, regardless of batching. Worker tests fake the usable CPU
+set, so forked helpers run on any host, and check that every helper is
+reaped however the estimate ends.
 """
 
+import json
+import os
+import threading
 from fractions import Fraction
 from itertools import count, product
 
 import numpy as np
 import pytest
 
+from egyfrac.cli import run
 from egyfrac.entropy import EntropyProfile, discrete_profile
 from egyfrac.modelsim import (
     ModelSample,
     _inclusion_masks,
+    _trial_outcomes,
     _trial_rng,
     estimate_prob_at_most,
     model_moments,
@@ -221,3 +228,121 @@ def test_deadline_cut_keeps_the_first_trials(monkeypatch):
     assert cut.trials == k
     assert cut.estimate == hits[:k].sum() / k
     assert cut == estimate_prob_at_most(prof, Fraction(1), k, seed=11)
+
+
+REAL_FORK = os.fork
+
+
+def use_cpus(monkeypatch, k):
+    """Fake k usable CPUs; returns the list that gets one entry per fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or REAL_FORK())
+    return forks
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# (profile, x, trials, chunks): trials are never a multiple of the chunk size,
+# max(1, 2**16 // n) trials; n = 1 at x = 1 is a tie in half the trials
+WORKER_CASES = {
+    1: (tiny_profile([0.5]), Fraction(1), 2**16 + 77, 2),
+    301: (discrete_profile(301, 1.0), Fraction(1), 1000, 5),
+    1001: (discrete_profile(1001, 1.0), Fraction(1), 3000, 47),
+}
+
+
+@pytest.mark.parametrize("n", sorted(WORKER_CASES))
+def test_estimate_does_not_depend_on_the_worker_count(monkeypatch, n):
+    prof, x, trials, chunks = WORKER_CASES[n]
+    weights = np.arange(1, n + 1)
+
+    def judge(mask):
+        # a byte that tells the trials apart, so a misplaced chunk shows
+        return int(mask @ weights) % 256
+
+    serial = [judge(mask) for mask in _inclusion_masks(prof, 7, trials)]
+    results = []
+    for cpus in (1, 2, 3):
+        forks = use_cpus(monkeypatch, cpus)
+        assert list(_trial_outcomes(prof, 7, trials, judge)) == serial
+        results.append(estimate_prob_at_most(prof, x, trials, seed=7))
+        assert len(forks) == 2 * (min(cpus, chunks) - 1)
+        assert_no_children()
+    assert results[0] == results[1] == results[2]
+    assert results[0].trials == trials
+    if n == 1:
+        assert results[0].exact_fallbacks > 0
+    if n == 1001:
+        assert results[0].estimate == 1550 / 3000
+
+
+def test_deadline_cut_inside_a_helper_chunk_keeps_the_first_trials(monkeypatch):
+    # 217 trials a chunk: trial 300 lies in chunk 1, which a helper draws
+    prof, x, trials, _ = WORKER_CASES[301]
+    k = 300
+    serial = estimate_prob_at_most(prof, x, k, seed=11)
+    forks = use_cpus(monkeypatch, 2)
+    clock = count()
+    monkeypatch.setattr("egyfrac.modelsim.time.monotonic", lambda: float(next(clock)))
+    cut = estimate_prob_at_most(prof, x, trials, seed=11, deadline=k - 0.5)
+    assert len(forks) == 1
+    assert cut == serial
+    assert_no_children()
+
+
+def test_failing_helper_raises_with_its_exit_status(monkeypatch, capfd):
+    # the tie profile of test_estimate_ties_are_decided_exactly, in 3 chunks
+    # of 21845 trials; only the helper's exact comparisons fail
+    prof = tiny_profile([0.5, 0.5, 0.5])
+    caller = os.getpid()
+
+    def reciprocal_sum(members):
+        if os.getpid() != caller:
+            raise ZeroDivisionError("injected helper failure")
+        return sum(Fraction(1, m) for m in members)
+
+    monkeypatch.setattr("egyfrac.modelsim.reciprocal_sum", reciprocal_sum)
+    forks = use_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"stopped after 0 of 21845 .*exit status 1"):
+        estimate_prob_at_most(prof, Fraction(1, 2), 50000, seed=1)
+    assert len(forks) == 1
+    assert_no_children()
+    assert "injected helper failure" in capfd.readouterr().err
+
+
+def test_no_helper_is_forked_beside_a_second_thread(monkeypatch):
+    prof, x, trials, _ = WORKER_CASES[1001]
+    forks = use_cpus(monkeypatch, 2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        est = estimate_prob_at_most(prof, x, trials, seed=7)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    assert est.estimate == 1550 / 3000
+
+
+def test_real_clock_budget_cut_equals_the_uncut_prefix(monkeypatch, tmp_path):
+    forks = use_cpus(monkeypatch, 2)
+    out = tmp_path / "cut.json"
+    argv = ["simulate", "--n", "10000", "--x", "1/1", "--trials", "100000", "--seed", "3"]
+    assert run(argv + ["--budget", "0.5", "--out", str(out)]) == 3
+    assert len(forks) == 1
+    assert_no_children()
+    cut = json.loads(out.read_text())
+    assert cut["truncated"] is True
+    assert 0 < cut["trials"] < 100000
+    uncut = estimate_prob_at_most(discrete_profile(10000, 1.0), Fraction(1), cut["trials"], 3)
+    assert (cut["estimate"], cut["stderr"], cut["exact_fallbacks"]) == (
+        uncut.estimate,
+        uncut.stderr,
+        uncut.exact_fallbacks,
+    )
