@@ -9,27 +9,18 @@ change any outcome. A run of trials re-keys one Philox in place before each
 trial and draws into one reused buffer; each trial's stream is the one a
 fresh Philox keyed (seed, trial) would give.
 
-`estimate_prob_at_most` shares its trials among one worker per CPU in the
-process's affinity mask: the calling process and os.fork-ed helpers. Trials
-are cut into contiguous chunks of about 2**16 draws, dealt round-robin;
-helpers send back one outcome byte per trial through a pipe, and the caller
-counts outcomes in trial order. Only the caller reads the clock, once
-before counting each trial, so a deadline cuts the run to a prefix of
-trials. No helper is forked where os.fork or os.sched_getaffinity is
-missing or a second thread is running; the caller then draws every chunk
-itself. `sample_model` and `sample_z_values` always run in the caller.
+`estimate_prob_at_most` draws a long run's trials on forked workers (see
+`egyfrac.workers`, imported by the first estimate); `sample_model` and
+`sample_z_values` always run in the caller.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Callable, Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -40,14 +31,6 @@ from .exactmath import reciprocal_sum
 # recomputed in exact rational arithmetic. The float error of a dot product
 # over 1e5 terms is ~1e-11, so the band is two orders wider.
 _EXACT_BAND = 1e-9
-
-# A chunk, the unit of trials dealt to one worker, holds about this many
-# uniform draws: max(1, _CHUNK_DRAWS // n) trials.
-_CHUNK_DRAWS = 2**16
-
-# signal.SIGKILL, fixed by POSIX; the signal module's enums would add ~80 kB
-# to the peak RSS of every simulate run.
-_SIGKILL = 9
 
 __all__ = [
     "MomentSummary",
@@ -167,128 +150,6 @@ def sample_z_values(profile: EntropyProfile, trials: int, seed: int) -> np.ndarr
     return out
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on, or 1 where a fork would be unsafe.
-
-    Forking needs os.fork, and a process with a second thread is not forked:
-    the child would hold only the forking thread, and any lock another
-    thread held at the fork stays locked in it.
-    """
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    if threading.active_count() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _serve(fd: int, inherited: list[int], chunks: Iterator[bytes]) -> NoReturn:
-    """A helper's whole life: write each chunk's outcome bytes to fd, then _exit.
-
-    The helper closes the read ends it inherited, so a pipe whose caller is
-    gone breaks on the next write and the helper leaves with status 1, as
-    it does on an interrupt. Any other error is printed to fd 2. It never
-    returns into the caller's code: os._exit skips atexit handlers and
-    flushes no stdio buffer copied from the caller.
-    """
-    try:
-        for fd_in in inherited:
-            os.close(fd_in)
-        for data in chunks:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view) :]
-    except (BrokenPipeError, KeyboardInterrupt):
-        os._exit(1)
-    except BaseException:
-        try:
-            import traceback
-
-            os.write(2, traceback.format_exc().encode(errors="replace"))
-        finally:
-            os._exit(1)
-    os._exit(0)
-
-
-def _read_chunk(fd: int, size: int) -> bytes:
-    """Up to size bytes from fd: fewer only when the writer has gone."""
-    parts = []
-    while size:
-        part = os.read(fd, size)
-        if not part:
-            break
-        parts.append(part)
-        size -= len(part)
-    return b"".join(parts)
-
-
-def _trial_outcomes(
-    profile: EntropyProfile, seed: int, trials: int, judge: Callable[[np.ndarray], int]
-) -> Iterator[int]:
-    """judge(mask) for trials 0..trials-1 in order, shared among forked workers.
-
-    The chunks go round-robin to min(usable CPUs, chunks) workers. The
-    caller is worker 0 and draws its own chunks lazily, one trial per
-    next(); every worker keeps one Philox and one mask buffer for all its
-    chunks. Helpers are forked at the first next(); closing the generator
-    closes the pipes, kills any helper still running and reaps every one.
-    A helper that ends before writing its chunk raises RuntimeError with
-    its exit status.
-    """
-    size = max(1, _CHUNK_DRAWS // profile.n)
-    n_chunks = -(-trials // size)
-    workers = min(_usable_cpus(), n_chunks)
-
-    def chunk(c: int) -> range:
-        return range(c * size, min(c * size + size, trials))
-
-    def outcomes(w: int) -> Iterator[int]:
-        mine = (t for c in range(w, n_chunks, workers) for t in chunk(c))
-        return map(judge, _inclusion_masks(profile, seed, mine))
-
-    def chunk_bytes(w: int) -> Iterator[bytes]:
-        # A generator, so a helper computes nothing before _serve's try.
-        mine = outcomes(w)
-        for c in range(w, n_chunks, workers):
-            yield bytes(islice(mine, len(chunk(c))))
-
-    pids: list[int] = []
-    fds: list[int] = []
-    try:
-        for w in range(1, workers):
-            fd, wfd = os.pipe()
-            fds.append(fd)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _serve(wfd, fds, chunk_bytes(w))
-                pids.append(pid)
-            finally:
-                os.close(wfd)
-        own = outcomes(0)
-        for c in range(n_chunks):
-            w = c % workers
-            want = len(chunk(c))
-            if w == 0:
-                yield from islice(own, want)
-                continue
-            data = _read_chunk(fds[w - 1], want)
-            if len(data) < want:
-                pid, pids[w - 1] = pids[w - 1], 0
-                status = os.waitstatus_to_exitcode(os.wait4(pid, 0)[1])
-                raise RuntimeError(
-                    f"simulate helper {pid} stopped after {len(data)} of {want} "
-                    f"outcomes of trials {chunk(c).start}..{chunk(c).stop - 1} "
-                    f"(exit status {status})"
-                )
-            yield from data
-    finally:
-        for fd in fds:
-            os.close(fd)
-        for pid in filter(None, pids):
-            os.kill(pid, _SIGKILL)
-            os.wait4(pid, 0)
-
-
 def estimate_prob_at_most(
     profile: EntropyProfile,
     x: Fraction,
@@ -304,14 +165,16 @@ def estimate_prob_at_most(
     with key (seed, t), so a shorter run counts exactly the first trials of
     a longer one.
 
-    Trials run on one worker per usable CPU: this process and forked
-    helpers, each drawing contiguous chunks of about 2**16 draws dealt
-    round-robin (see _trial_outcomes). Outcomes are counted in trial order
-    and every trial is judged by the same checks wherever it ran, so the
-    result does not depend on the number of workers. Only this process
-    reads the clock, once before counting each trial: past a deadline
-    (time.monotonic value) no further trial is counted, the result's
-    `trials` says how many were, and a ValueError is raised when none was.
+    A run of at least 2**22 draws (trials * n) runs on up to two workers,
+    at most one per CPU in the affinity mask: this process and a forked
+    helper, each drawing contiguous chunks of about 2**16 draws dealt
+    round-robin (see egyfrac.workers); a shorter run stays in this
+    process. Outcomes are counted in trial order and every trial is judged
+    by the same checks wherever it ran, so the result does not depend on
+    the number of workers. Only this process reads the clock, once before
+    counting each trial: past a deadline (time.monotonic value) no further
+    trial is counted, the result's `trials` says how many were, and a
+    ValueError is raised when none was.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -329,7 +192,9 @@ def estimate_prob_at_most(
             return 2 | (reciprocal_sum(members) <= x)
         return int(z <= xf)
 
-    stream = _trial_outcomes(profile, seed, trials, judge)
+    from .workers import trial_outcomes
+
+    stream = trial_outcomes(profile, seed, trials, judge)
     hits = 0
     fallbacks = 0
     ran = 0
