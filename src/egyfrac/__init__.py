@@ -8,6 +8,7 @@ exact reservoir finish.
 """
 
 import os
+from importlib import import_module
 
 # One BLAS thread unless the user set otherwise, before numpy loads: a threaded
 # dot product sums in another order, so seeded records would depend on the host.
@@ -17,58 +18,42 @@ del _var
 
 __version__ = "0.1.0"
 
-from .exactmath import (
-    FactorSieve,
-    harmonic,
-    is_powersmooth,
-    lcm_range,
-    max_prime_power_factor,
-    powersmooth_count,
-    prime_powers_in,
-    reciprocal_sum,
-    smooth_density_linear,
-)
-from .counting import (
-    CountQuery,
-    CountResult,
-    count_brute,
-    count_mitm,
-    enumerate_representations,
-)
-from .entropy import (
-    ContinuousConstants,
-    EntropyProfile,
-    binary_entropy,
-    continuous_lambda,
-    cx_constant,
-    discrete_profile,
-    entropy_upper_bound,
-)
-from .modelsim import (
-    ModelSample,
-    MomentSummary,
-    ProbEstimate,
-    estimate_prob_at_most,
-    model_moments,
-    sample_model,
-)
-from .modular import (
-    ModInstance,
-    ModSubsetSolution,
-    ShrinkResult,
-    dirichlet_shrink,
-    make_instance,
-    min_subset_inverse_sum,
-    mod_inverse,
-    residue_coverage,
-)
-from .absorption import (
-    AbsorptionConfig,
-    AbsorptionTrace,
-    build_config,
-    cancel_prime_powers,
-    construct_representation,
-    reservoir_decompose,
-    sample_base_set,
-    verify_representation,
-)
+# Each public name and the module that defines it. The modules load on first
+# use of one of their names (PEP 562), so `import egyfrac` loads none of them.
+_EXPORTS = {
+    "exactmath": (
+        "FactorSieve", "harmonic", "is_powersmooth", "lcm_range", "max_prime_power_factor",
+        "powersmooth_count", "prime_powers_in", "reciprocal_sum", "smooth_density_linear",
+        "verify_representation",
+    ),
+    "counting": ("CountQuery", "CountResult", "count_brute", "count_mitm", "enumerate_representations"),
+    "entropy": (
+        "ContinuousConstants", "EntropyProfile", "binary_entropy", "continuous_lambda",
+        "cx_constant", "discrete_profile", "entropy_upper_bound",
+    ),
+    "modelsim": (
+        "ModelSample", "MomentSummary", "ProbEstimate", "estimate_prob_at_most",
+        "model_moments", "sample_model",
+    ),
+    "modular": (
+        "ModInstance", "ModSubsetSolution", "ShrinkResult", "dirichlet_shrink", "make_instance",
+        "min_subset_inverse_sum", "mod_inverse", "residue_coverage",
+    ),
+    "absorption": (
+        "AbsorptionConfig", "AbsorptionTrace", "build_config", "cancel_prime_powers",
+        "construct_representation", "reservoir_decompose", "sample_base_set",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

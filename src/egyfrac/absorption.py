@@ -60,6 +60,7 @@ from .exactmath import (
     max_prime_power_table,
     prime_powers_in,
     reciprocal_sum,
+    verify_representation,
 )
 from .modelsim import _EXACT_BAND, _check_seed, _trial_rng
 from .modular import ModInstance, iter_solutions, mod_inverse
@@ -332,17 +333,6 @@ def reservoir_decompose(config: AbsorptionConfig, x_f: Fraction) -> tuple[int, .
         raise ValueError(f"K * x_f = {goal} is not an integer; cancellation is incomplete")
     top = config.n // config.K
     return next(reciprocal_subsets(range(1, top + 1), goal, config.node_budget), None)
-
-
-def verify_representation(elements: Iterable[int], n: int, x) -> bool:
-    """True iff the elements are distinct, lie in [1, n], and sum to x exactly."""
-    x = Fraction(x)
-    items = [int(e) for e in elements]
-    if len(set(items)) != len(items):
-        return False
-    if any(e < 1 or e > n for e in items):
-        return False
-    return reciprocal_sum(items) == x
 
 
 def construct_representation(

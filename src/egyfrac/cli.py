@@ -27,17 +27,31 @@ import sys
 import time
 from datetime import datetime, timezone
 from fractions import Fraction
+from importlib import import_module
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 from . import __version__
-from .absorption import construct_representation, trace_to_dict, verify_representation
-from .counting import MODE_AT_MOST, MODE_EXACT, CountQuery, count_brute, count_mitm
 from .entropy import continuous_lambda, cx_constant, discrete_profile
-from .exactmath import _frac_str, powersmooth_count, smooth_density_linear
-from .modelsim import _check_seed, estimate_prob_at_most, model_moments
-from .modular import make_instance, residue_coverage
+from .exactmath import _frac_str, powersmooth_count, smooth_density_linear, verify_representation
+
+# Loaded on first use, so each command loads only the modules it calls. Handlers
+# call these as attributes of this module (_cli.name), which setattr may replace.
+_LAZY = {
+    "count_brute": "counting", "count_mitm": "counting", "CountQuery": "counting",
+    "model_moments": "modelsim", "estimate_prob_at_most": "modelsim", "_check_seed": "modelsim",
+    "make_instance": "modular", "residue_coverage": "modular",
+    "construct_representation": "absorption", "trace_to_dict": "absorption",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value = getattr(import_module(f"egyfrac.{_LAZY[name]}"), name)
+    return value
+
+
+_cli = sys.modules[__name__]
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 
@@ -77,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="exact subset count")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--x", type=parse_rational, required=True)
-    p.add_argument("--mode", choices=(MODE_EXACT, MODE_AT_MOST), default=MODE_EXACT)
+    p.add_argument("--mode", choices=("exact", "atmost"), default="exact")
     p.add_argument("--method", choices=("auto", "brute", "mitm"), default="auto")
     common(p)
 
@@ -131,11 +145,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_count(args) -> dict:
-    query = CountQuery(n=args.n, x=args.x, mode=args.mode)
+    query = _cli.CountQuery(n=args.n, x=args.x, mode=args.mode)
     method = args.method
     if method == "auto":
         method = "brute" if args.n <= 20 else "mitm"
-    result = count_brute(query) if method == "brute" else count_mitm(query)
+    result = _cli.count_brute(query) if method == "brute" else _cli.count_mitm(query)
     return {
         "n": args.n,
         "x": _frac_str(args.x),
@@ -148,7 +162,7 @@ def _cmd_count(args) -> dict:
 
 def _cmd_entropy(args) -> dict:
     prof = discrete_profile(args.n, float(args.x))
-    mean = float((prof.p / (1 + np.arange(args.n))).sum())
+    mean = float((prof.p / range(1, args.n + 1)).sum())
     return {
         "n": args.n,
         "x": _frac_str(args.x),
@@ -174,8 +188,8 @@ def _cmd_simulate(args, deadline: float | None) -> dict:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     prof = discrete_profile(args.n, float(args.x))
-    moments = model_moments(prof)
-    est = estimate_prob_at_most(prof, args.x, args.trials, args.seed, deadline=deadline)
+    moments = _cli.model_moments(prof)
+    est = _cli.estimate_prob_at_most(prof, args.x, args.trials, args.seed, deadline=deadline)
     out = {
         "n": args.n,
         "x": _frac_str(args.x),
@@ -195,8 +209,8 @@ def _cmd_simulate(args, deadline: float | None) -> dict:
 def _cmd_modcover(args) -> dict:
     if args.hi < args.lo:
         raise ValueError(f"need lo <= hi, got [{args.lo}, {args.hi}]")
-    instance = make_instance(args.q, range(args.lo, args.hi + 1), args.smax)
-    cover = residue_coverage(instance)
+    instance = _cli.make_instance(args.q, range(args.lo, args.hi + 1), args.smax)
+    cover = _cli.residue_coverage(instance)
     histogram: dict[int, int] = {}
     unreachable = 0
     for size in cover:
@@ -224,19 +238,19 @@ def _cmd_construct(args, deadline: float | None) -> dict:
         raise ValueError("--count must be >= 1")
     # Before any table is built; the seeds are consecutive, so the ends bound them all.
     for seed in (args.seed, args.seed + args.count - 1):
-        _check_seed(seed)
+        _cli._check_seed(seed)
     traces = []
     truncated = False
     for i in range(args.count):
         if deadline is not None and time.monotonic() > deadline:
             truncated = True
             break
-        trace = construct_representation(
+        trace = _cli.construct_representation(
             args.n, args.x, seed=args.seed + i, deadline=deadline
         )
         traces.append(trace)
     # Each trace is encoded once, for the --trace file and the record alike.
-    encoded = [_JSONText(_to_json(trace_to_dict(t))) for t in traces]
+    encoded = [_JSONText(_to_json(_cli.trace_to_dict(t))) for t in traces]
     if args.trace:
         with open(args.trace, "w") as fh:
             fh.write(_to_json(encoded[0] if len(encoded) == 1 else encoded) + "\n")

@@ -24,6 +24,8 @@ egyfrac.absorption. count_brute does not reuse it: as an oracle for
 count_mitm it must stay independent, and its mode "atmost" shortcut (count
 a whole 2**k block once the tail fits) would make the shared walk branch on
 which caller it serves.
+
+No numpy at import: only the count_mitm kernel needs it, and imports it.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ from itertools import accumulate, islice
 from math import lcm, prod
 from operator import mul
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .exactmath import primes_upto, reciprocal_sum
 from .modular import iter_solutions, make_instance
@@ -179,6 +179,7 @@ def _sorted_sums(groups: list[list[int]], dtype) -> np.ndarray:
     and object arrays) merges run by run, so no step pays a full sort; on
     object arrays a full sort is several times slower.
     """
+    import numpy as np
     sums = np.empty(prod(len(options) + 1 for options in groups), dtype=dtype)
     sums[0] = 0
     k = 1
@@ -239,6 +240,7 @@ def count_mitm(query: CountQuery, cap: int = MITM_CAP) -> CountResult:
             f"count_mitm refuses n={query.n}: cap is {cap} (2**(n/2) half sums); "
             f"pass cap explicitly to override"
         )
+    import numpy as np
     start = time.perf_counter()
     n, x, mode = query.n, query.x, query.mode
     if mode == MODE_EXACT:

@@ -13,6 +13,8 @@ The continuous side solves the n -> infinity limit: lambda is the root of
 
 and c_x integrates the binary entropy of the same logistic profile. As
 x grows, c_x increases strictly toward 1.
+
+No numpy at import: the functions that need it import it themselves.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from functools import cache
 
 LOG2E = math.log2(math.e)
 
@@ -34,9 +35,6 @@ _INTEGRAL_RTOL = 1e-8
 # Logistic probabilities below this are flushed to exactly 0.0, so no
 # subnormal ever reaches a product, sum or logarithm downstream.
 _P_FLOOR = 1e-260
-
-# Fixed 32-node Gauss-Legendre rule on [-1, 1] for the continuous integrals.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 __all__ = [
     "EntropyProfile",
@@ -77,6 +75,7 @@ def binary_entropy(p: float) -> float:
 
 def _logistic(t: np.ndarray) -> np.ndarray:
     """1/(1 + exp(t)) evaluated stably for t >= 0; exactly 0.0 below _P_FLOOR."""
+    import numpy as np
     # exp(-700) is still a normal float, so neither exp nor the division underflows
     p = np.exp(-np.minimum(t, 700.0))
     p /= 1.0 + p
@@ -89,11 +88,12 @@ def _entropy_nats(p: np.ndarray) -> np.ndarray:
 
     ln(1-p) goes through log1p so that tiny p keeps its relative accuracy.
     """
+    import numpy as np
     return -p * np.log(np.where(p > 0.0, p, 1.0)) - (1.0 - p) * np.log1p(-p)
 
 
 def _entropy_bits(p: np.ndarray) -> float:
-    return float(np.sum(_entropy_nats(p)) / math.log(2))
+    return float(_entropy_nats(p).sum() / math.log(2))
 
 
 def discrete_profile(n: int, x: float, support=None) -> EntropyProfile:
@@ -103,6 +103,7 @@ def discrete_profile(n: int, x: float, support=None) -> EntropyProfile:
     zero and contribute nothing to H or to the constraint. The converged
     profile satisfies sum(p_m / m) = x to within 1e-10 relative.
     """
+    import numpy as np
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     x = float(x)
@@ -111,12 +112,13 @@ def discrete_profile(n: int, x: float, support=None) -> EntropyProfile:
     if support is None:
         members = np.arange(1, n + 1, dtype=np.float64)
     else:
-        members = np.unique(np.asarray(list(support), dtype=np.int64))
+        # Sorted and deduplicated by hand: np.unique would load numpy.ma.
+        members = np.sort(np.asarray(list(support), dtype=np.int64))
         if members.size == 0:
             raise ValueError("support must be nonempty")
         if members[0] < 1 or members[-1] > n:
             raise ValueError("support must lie within [1, n]")
-        members = members.astype(np.float64)
+        members = members[np.diff(members, prepend=0) > 0].astype(np.float64)
 
     inv = 1.0 / members
     half_mass = 0.5 * float(inv.sum())
@@ -164,6 +166,7 @@ def entropy_upper_bound(n: int, x) -> float:
     The slack covers the solver residual (dH/dx at the optimum is c*n*log2(e))
     and floating-point summation error in H itself.
     """
+    import numpy as np
     xf = float(Fraction(x)) if not isinstance(x, float) else x
     prof = discrete_profile(n, xf)
     members = np.arange(1, n + 1, dtype=np.float64)
@@ -172,19 +175,28 @@ def entropy_upper_bound(n: int, x) -> float:
     return prof.H + slack
 
 
+@cache
+def _gl_rule():
+    """Fixed 32-node Gauss-Legendre rule on [-1, 1] for the continuous integrals."""
+    import numpy as np
+    return np.polynomial.legendre.leggauss(32)
+
+
 def _gauss_legendre(f, knots, panels: int = 1, max_width: float = math.inf) -> float:
     """Integral of a vectorised f over [knots[0], knots[-1]] by the 32-node rule.
 
     Each interval between consecutive knots is cut into equal panels: at
     least `panels` of them, and enough that none is wider than `max_width`.
     """
+    import numpy as np
     edges = [knots[0]]
     for a, b in zip(knots, knots[1:]):
         k = max(panels, math.ceil((b - a) / max_width))
         edges += [a + (b - a) * i / k for i in range(1, k)] + [b]
+    nodes, weights = _gl_rule()
     lo = np.asarray(edges[:-1])[:, None]
     half = 0.5 * (np.asarray(edges[1:])[:, None] - lo)
-    return float(np.sum(half * _GL_WEIGHTS * f(lo + half * (1.0 + _GL_NODES))))
+    return float(np.sum(half * weights * f(lo + half * (1.0 + nodes))))
 
 
 def _lambda_integral(lam: float) -> float:
@@ -196,6 +208,7 @@ def _lambda_integral(lam: float) -> float:
     most 2 wide and break at the logistic transition s = log(1/lam) and one
     and two decades past it.
     """
+    import numpy as np
     upper = 2.0
     while math.exp(-lam * upper) / (lam * upper) > 1e-14:
         upper *= 2.0

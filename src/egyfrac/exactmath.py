@@ -6,15 +6,16 @@ equality, never a tolerance check. Every exact sum of unit fractions in the
 package goes through one kernel, `reciprocal_sum`, and every prime list
 comes from one sieve, `FactorSieve`'s smallest-prime-factor table. m is
 t-powersmooth when every maximal prime power p**a dividing m is at most t.
+
+No numpy at import: the functions that need it import it themselves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, log
+from numbers import Integral
 from typing import Iterable
-
-import numpy as np
 
 # Elements per leaf of reciprocal_sum; bounds a leaf's unreduced denominator.
 _LEAF = 64
@@ -31,11 +32,12 @@ __all__ = [
     "prime_powers_in",
     "smooth_density_linear",
     "primes_upto",
+    "verify_representation",
 ]
 
 
 def _check_positive_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if value < 1:
@@ -77,6 +79,15 @@ def reciprocal_sum(elements: Iterable[int]) -> Fraction:
     return parts[0] if parts else Fraction(0)
 
 
+def verify_representation(elements: Iterable[int], n: int, x) -> bool:
+    """True iff the elements are distinct, lie in [1, n], and sum to x exactly."""
+    x = Fraction(x)
+    items = [int(e) for e in elements]
+    if len(set(items)) != len(items) or any(e < 1 or e > n for e in items):
+        return False
+    return reciprocal_sum(items) == x
+
+
 def harmonic(n: int) -> Fraction:
     """H(n) = 1 + 1/2 + ... + 1/n, exactly."""
     n = _check_positive_int(n, "n")
@@ -108,6 +119,7 @@ class FactorSieve:
     def __init__(self, limit: int):
         if limit < 2:
             raise ValueError(f"sieve limit must be >= 2, got {limit}")
+        import numpy as np
         self.limit = int(limit)
         # The narrowest unsigned type holding 0..limit: 4 bytes an entry at 1e6, not 8.
         spf = np.arange(self.limit + 1, dtype=np.min_scalar_type(self.limit))
@@ -143,6 +155,7 @@ class FactorSieve:
 
     def prime_array(self) -> np.ndarray:
         """The primes up to `limit`, ascending, as a numpy integer array."""
+        import numpy as np
         idx = np.arange(2, self.limit + 1, dtype=self.spf.dtype)
         return np.flatnonzero(self.spf[2:] == idx) + 2
 
@@ -192,6 +205,7 @@ def max_prime_power_table(n: int) -> np.ndarray:
     once, and k < p bounds every prime power of k, so a[k*p] = p: these are
     set one cofactor k at a time.
     """
+    import numpy as np
     n = _check_positive_int(n, "n")
     # before the table, so the sieve is freed first
     primes = FactorSieve(n).prime_array() if n >= 2 else np.zeros(0, dtype=np.int64)
@@ -216,8 +230,8 @@ def powersmooth_count(n: int, t: int) -> int:
     """How many m in [1, n] are t-powersmooth."""
     n = _check_positive_int(n, "n")
     t = _check_positive_int(t, "t")
-    table = max_prime_power_table(n)
-    return int(np.count_nonzero(table[1:] <= t))
+    import numpy as np
+    return int(np.count_nonzero(max_prime_power_table(n)[1:] <= t))
 
 
 def prime_powers_in(lo: int, hi: int) -> list[tuple[int, int]]:

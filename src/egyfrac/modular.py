@@ -22,17 +22,17 @@ holds the whole table.
 dirichlet_shrink is a pigeonhole dilation: given directions d_i and box
 shape a_i it finds a multiplier T in [1, q) such that every T*d_i has a
 representative d_i' with |d_i'| <= 2*(q/a_i)*(A/q)**(1/k), A = prod(a_i).
+
+No numpy at import, nor anywhere else in this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
 from math import gcd, prod
 from typing import Iterable, Iterator
-
-import numpy as np
 
 __all__ = [
     "ModInstance",
@@ -45,6 +45,9 @@ __all__ = [
     "residue_coverage",
     "dirichlet_shrink",
 ]
+
+# Maps the digits of bin() to bytes that itertools.compress reads as false and true.
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -215,12 +218,11 @@ def residue_coverage(instance: ModInstance) -> list[int | None]:
     invs = [pow(e, -1, q) for e in instance.elements]
     for layers in _suffix_rows(q, invs, instance.s_max + 1):
         pass
-    nbytes = (q + 7) // 8
     out: list[int | None] = [None] * q
     seen = 0
     for k, layer in enumerate(layers):
-        new = np.frombuffer((layer & ~seen).to_bytes(nbytes, "little"), dtype=np.uint8)
-        for r in np.flatnonzero(np.unpackbits(new, bitorder="little")).tolist():
+        # bin() lists the bits from the top; reversed, its digit r is bit r.
+        for r in compress(range(q), bin(layer & ~seen)[:1:-1].encode().translate(_BIT_BYTES)):
             out[r] = k
         seen |= layer
     return out

@@ -19,6 +19,7 @@ from argparse import ArgumentTypeError
 import egyfrac
 from egyfrac.absorption import replay_trace
 from egyfrac.cli import _to_json, parse_rational, run, validate_record
+from egyfrac.counting import count_brute
 from egyfrac.entropy import discrete_profile
 from egyfrac.modelsim import estimate_prob_at_most
 from egyfrac.modular import make_instance, residue_coverage
@@ -304,6 +305,64 @@ def test_cli_import_loads_no_scipy():
     proc = run_python(probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_numpy():
+    # layers.py reads the importtime lines of egyfrac.entropy and
+    # egyfrac.exactmath, so a fresh import must still load both
+    probe = (
+        "import sys, egyfrac.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'egyfrac')))"
+    )
+    proc = run_python(probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == str(
+        ["egyfrac", "egyfrac.cli", "egyfrac.entropy", "egyfrac.exactmath"]
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "6", "--x", "1/1", "--set", "2,3,6"],
+        ["modcover", "--q", "101", "--lo", "11", "--hi", "21", "--smax", "6"],
+        ["count", "--n", "6", "--x", "1/1"],
+    ],
+)
+def test_commands_run_without_numpy(capsys, argv):
+    blocked = 'import sys; sys.modules["numpy"] = None; from egyfrac.cli import main; main()'
+    proc = run_python(blocked, *argv)
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    here = record_of(capsys, argv)
+    for record in (child, here):
+        for key in TIMESTAMP_KEYS:
+            record.pop(key, None)
+    assert child == here
+
+
+def test_construct_does_not_load_numpy_ma():
+    probe = (
+        "import sys; from egyfrac.cli import run; "
+        "code = run(['construct', '--n', '400', '--x', '1/1', '--seed', '1', '--out', sys.argv[1]]); "
+        "print(code, 'numpy.ma' in sys.modules, 'numpy' in sys.modules)"
+    )
+    proc = run_python(probe, os.devnull)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False", "True"]
+
+
+def test_handlers_call_the_cli_module_attributes(capsys, monkeypatch):
+    calls = []
+
+    def recorder(query):
+        calls.append(query)
+        return count_brute(query)
+
+    monkeypatch.setattr(egyfrac.cli, "count_brute", recorder)
+    record = record_of(capsys, ["count", "--n", "6", "--x", "1/1", "--method", "brute"])
+    assert record["count"] == "2"
+    assert [(q.n, q.x, q.mode) for q in calls] == [(6, Fraction(1), "exact")]
 
 
 def test_simulate_record_matches_library(capsys):

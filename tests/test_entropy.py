@@ -134,6 +134,20 @@ def test_profile_restricted_support():
     assert prof.H == pytest.approx(direct, rel=1e-12)
 
 
+def test_support_is_sorted_and_deduplicated_like_np_unique():
+    rng = random.Random(11)
+    for n in (10, 300, 5000):
+        base = rng.sample(range(1, n + 1), k=max(3, n // 3))
+        shuffled = base + rng.choices(base, k=len(base) // 2)
+        rng.shuffle(shuffled)
+        x = 0.25 * sum(1 / m for m in base)
+        want = discrete_profile(n, x, support=np.unique(shuffled))
+        for support in (shuffled, np.asarray(shuffled, dtype=np.int32), iter(shuffled)):
+            got = discrete_profile(n, x, support=support)
+            assert (got.c, got.H) == (want.c, want.H)
+            assert np.array_equal(got.p, want.p)
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         discrete_profile(0, 1.0)

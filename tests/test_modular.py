@@ -243,3 +243,46 @@ def test_suffix_rows_extended_in_place_match_a_fresh_build():
                     for combo in combinations(invs[j:], k):
                         want |= 1 << (sum(combo) % q)
                     assert rows[j][k] == want, (q, invs, j, k)
+
+
+def unpackbits_coverage(instance):
+    """residue_coverage's layers read through numpy's unpackbits: the oracle for its bit reading."""
+    import numpy as np
+
+    q = instance.q
+    invs = [pow(e, -1, q) for e in instance.elements]
+    layers = list(_suffix_rows(q, invs, instance.s_max + 1))[-1]
+    out = [None] * q
+    seen = 0
+    for k, layer in enumerate(layers):
+        new = np.frombuffer((layer & ~seen).to_bytes((q + 7) // 8, "little"), dtype=np.uint8)
+        for r in np.flatnonzero(np.unpackbits(new, bitorder="little")).tolist():
+            out[r] = k
+        seen |= layer
+    return out, layers
+
+
+@pytest.mark.parametrize(
+    "q, elements, s_max",
+    [
+        (2, [1], 3),
+        (3, [1, 2], 4),
+        (101, range(11, 22), 6),
+        (101, [100, 3, 7], 5),
+        (1009, range(10, 22), 4),
+        (1009, [1008, 500, 501], 6),
+        (65537, range(2, 14), 3),
+        (65537, [65536, 2, 3, 5], 6),
+        (100003, range(317, 635), 12),
+        (100003, [100002, 7, 11], 5),
+    ],
+)
+def test_residue_coverage_reads_the_bits_unpackbits_reads(q, elements, s_max):
+    inst = make_instance(q, elements, s_max)
+    want, layers = unpackbits_coverage(inst)
+    assert residue_coverage(inst) == want
+    if q - 1 in inst.elements:
+        # q - 1 is its own inverse, so bit q - 1 is set in layer 1 and every
+        # layer past the element count is empty
+        assert layers[1] >> (q - 1) & 1 and want[q - 1] == 1
+        assert layers[-1] == 0
