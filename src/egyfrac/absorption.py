@@ -29,10 +29,10 @@ Element disjointness across stages is enforced by a shared used-set: the
 reservoir never appears in stage 1 or 2, and stage 2 consults the used-set
 before taking any multiple.
 
-build_config's tables (reservoir, universe, pools, base profile) depend on
-(n, x, L) only; they are cached for the latest (n, x, L) and shared, never
-mutated, by the configs of every seed, so a run over consecutive seeds
-builds them once.
+build_config's tables (reservoir, universe, pools and the inverses of
+their members, base profile) depend on (n, x, L) only; they are cached for
+the latest (n, x, L) and shared, never mutated, by the configs of every
+seed, so a run over consecutive seeds builds them once.
 
 Five settings are constants of AbsorptionConfig: the held-back mass share
 eta = 1/4, the witness size cap s_max = 12, the alt_limit = 10 witnesses
@@ -46,6 +46,7 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd
 from types import MappingProxyType
 from typing import ClassVar, Iterable, Mapping
@@ -99,6 +100,8 @@ class AbsorptionConfig:
     reservoir: frozenset[int]
     universe: tuple[int, ...]
     pools: Mapping[int, tuple[int, ...]] = field(repr=False)
+    # inverses[q][i] is pools[q][i]**-1 mod q.
+    inverses: Mapping[int, tuple[int, ...]] = field(repr=False)
     base_profile: EntropyProfile = field(repr=False)
     max_attempts: int = 50
     eta: ClassVar[Fraction] = Fraction(1, 4)
@@ -183,6 +186,7 @@ def _tables(n: int, x: Fraction, L: int) -> AbsorptionConfig:
         raise ValueError("sampling universe is empty; increase n")
 
     pools: dict[int, tuple[int, ...]] = {}
+    inverses: dict[int, tuple[int, ...]] = {}
     for _, q in prime_powers_in(2, n // 2):
         if q <= L:
             continue
@@ -192,6 +196,7 @@ def _tables(n: int, x: Fraction, L: int) -> AbsorptionConfig:
             if gcd(b, q) == 1 and (q * b) not in reservoir and mppf[b] < q
         )
         pools[q] = pool
+        inverses[q] = tuple(pow(b, -1, q) for b in pool)
 
     target = (1 - AbsorptionConfig.eta) * x
     base_profile = discrete_profile(n, float(target), support=universe)
@@ -205,6 +210,7 @@ def _tables(n: int, x: Fraction, L: int) -> AbsorptionConfig:
         reservoir=reservoir,
         universe=universe,
         pools=MappingProxyType(pools),
+        inverses=MappingProxyType(inverses),
         base_profile=base_profile,
     )
 
@@ -285,12 +291,14 @@ def cancel_prime_powers(
         if target == 0:
             raise RuntimeError(f"cancellation target for q={q} degenerated to zero")
 
-        avail = [b for b in pool if (q * b) not in taken]
+        free = [(q * b) not in taken for b in pool]
+        avail = tuple(compress(pool, free))
         # pool members are distinct units mod q: make_instance would keep them all
-        instance = ModInstance(q, tuple(avail), config.s_max)
+        instance = ModInstance(q, avail, config.s_max)
+        invs = list(compress(config.inverses[q], free))
         chosen = None
         mass = None
-        for cand in iter_solutions(instance, target, limit=config.alt_limit):
+        for cand in iter_solutions(instance, target, limit=config.alt_limit, inverses=invs):
             cand_mass = reciprocal_sum(q * b for b in cand)
             if cand_mass < x_i:
                 chosen, mass = cand, cand_mass

@@ -11,9 +11,10 @@ oracles for each other:
   used as a block whose reciprocals sum to 0 mod p (taken from
   egyfrac.modular), so it meets in the middle over those blocks and the
   remaining single elements. Mode "atmost" has no such lemma and meets in
-  the middle over all of [1, n]. Both modes share one numpy kernel: each
-  half's sums are built sorted in one preallocated array, and the join is
-  a searchsorted count against the right half.
+  the middle over all of [1, n]. Both modes share one numpy kernel: the
+  smaller half's sums are built sorted in one preallocated array, and the
+  other half is streamed in blocks, never stored, each block a
+  searchsorted count against the kept half.
 
 Both count subsets A of {1..n} with sum of 1/a equal to x (mode "exact") or
 at most x (mode "atmost", boundary ties included).
@@ -34,7 +35,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, islice, product
 from math import lcm, prod
 from operator import mul
 from typing import Iterator, Sequence
@@ -50,6 +51,8 @@ MITM_CAP = 48
 ENUM_CAP = 40
 # Bytes: count_mitm refuses a query whose arrays are estimated above this.
 MITM_MEMORY_CAP = 512 * 2**20
+# count_mitm's inner block: the streamed half's trailing sums joined per call.
+_BLOCK_SUMS = 2**16
 
 __all__ = [
     "MODE_EXACT",
@@ -212,28 +215,32 @@ def count_mitm(query: CountQuery, cap: int = MITM_CAP) -> CountResult:
     becomes an integer multiple of 1/L, and x becomes the goal x*L (mode
     "exact"; no subset hits x when that is not an integer) or floor(x*L)
     (mode "atmost"). The groups are cut into two runs of near-equal
-    option-count product, and one kernel lists each run's sums in ascending
-    order. For each left sum s, mode "atmost" counts the right sums
-    <= goal - s and mode "exact" those equal to it, both by searchsorted on
-    the right half. The arrays are int64 when the largest value any step
+    option-count product. Only the smaller run, the kept half, is listed:
+    _sorted_sums builds its sums in ascending order. The other run is
+    streamed in blocks and never stored. Its trailing groups, up to
+    _BLOCK_SUMS sums, form the inner block, listed once; the sums o of its
+    leading groups are taken one at a time. For each o the keys
+    goal - o - inner are searched in the kept half: mode "atmost" counts the
+    kept sums <= each key (searchsorted "right"), mode "exact" those equal
+    to it ("right" minus "left"), and the block's total is added to an
+    exact Python int. The arrays are int64 when the largest value any step
     can hold (the sum of each group's largest weight, plus the goal, plus 1)
     is below 2**63, and exact Python ints (dtype object) otherwise: at x = 1
     mode "atmost" stays int64 up to n = 42, and mode "exact", scaled by the
     lcm of the surviving block elements only, at every n the cap allows.
 
-    Before any sum is listed, the memory is estimated: the two half arrays,
-    plus the searchsorted results at 8 bytes a left sum (mode "atmost") or
-    16 (mode "exact", two arrays at once); a query estimated above
-    MITM_MEMORY_CAP bytes raises ValueError. Every entry counts 4 bytes of
-    the stable sorts' merge buffers: sorting k entries holds up to k/2 of
-    them, and the allocator may keep the left half's buffer resident while
-    the right half is sorted. So an int64 entry costs 12 bytes, and an
-    object entry its 8-byte pointer, 4 bytes of buffer and its int, taken at
-    the bound's size rounded up to the allocator's 16-byte blocks. At n = 40
-    mode "atmost" this reads 32 MiB against 28.1 MiB measured above what the
-    process held before the call, and at n = 43 376 MiB against 361 MiB. At
-    x = 1 mode "atmost" is admitted up to n = 44 (512 MiB estimated, 498 MiB
-    measured).
+    Before any sum is listed, the memory is estimated: the kept half, plus
+    the block temporaries, which are the inner block, its keys and the
+    searchsorted results at 8 bytes a key (mode "atmost") or 16 (mode
+    "exact", two arrays at once); a query estimated above MITM_MEMORY_CAP
+    bytes raises ValueError. Every listed entry counts 4 bytes of the
+    stable sort's merge buffer, which holds up to k/2 entries when k are
+    sorted. So an int64 entry costs 12 bytes, and an object entry its 8-byte
+    pointer, 4 bytes of buffer and its int, taken at the bound's size
+    rounded up to the allocator's 16-byte blocks. At n = 40 mode "atmost"
+    this reads 14 MiB against 11.8 MiB measured above what the process held
+    before the call. At x = 1 mode "atmost" is admitted up to n = 47 (488
+    MiB estimated, 481 MiB measured) and refused at n = 48 (968 MiB).
     """
     if query.n > cap:
         raise ValueError(
@@ -261,22 +268,35 @@ def count_mitm(query: CountQuery, cap: int = MITM_CAP) -> CountResult:
         goal = (x.numerator * scale) // x.denominator
     bound = sum(max(options) for options in weights) + goal + 1
     dtype = np.int64 if bound < 2**63 else object
+    kept_size = min(sizes[half], sizes[-1] // sizes[half])
+    kept, streamed = weights[:half], weights[half:]
+    if sizes[half] > kept_size:
+        kept, streamed = streamed, kept
+    # The streamed half's leading groups give the outer sums; the trailing
+    # ones, whose sums number at most _BLOCK_SUMS, the inner block.
+    lead, block = len(streamed), 1
+    while lead and block * (len(streamed[lead - 1]) + 1) <= _BLOCK_SUMS:
+        lead -= 1
+        block *= len(streamed[lead]) + 1
     entry_bytes = 12 if dtype is np.int64 else 12 + -(-sys.getsizeof(bound) // 16) * 16
     count_bytes = 16 if mode == MODE_EXACT else 8
-    estimate = (sizes[half] + sizes[-1] // sizes[half]) * entry_bytes + sizes[half] * count_bytes
+    estimate = kept_size * entry_bytes + block * (2 * entry_bytes + count_bytes)
     if estimate > MITM_MEMORY_CAP:
         raise ValueError(
-            f"count_mitm refuses n={n}: its half sums and counts need about "
+            f"count_mitm refuses n={n}: its kept half sums and join blocks need about "
             f"{estimate / 2**20:.0f} MiB, over the {MITM_MEMORY_CAP // 2**20} MiB memory cap"
         )
-    left = _sorted_sums(weights[:half], dtype)
-    right = _sorted_sums(weights[half:], dtype)
-    # In place, so the object path holds no second left-sized array.
-    np.subtract(goal, left, out=left)
-    counts = np.searchsorted(right, left, "right")
-    if mode == MODE_EXACT:
-        counts -= np.searchsorted(right, left, "left")
-    return CountResult(query, int(counts.sum()), "mitm", time.perf_counter() - start)
+    kept_sums = _sorted_sums(kept, dtype)
+    inner = _sorted_sums(streamed[lead:], dtype)
+    keys = np.empty_like(inner)
+    count = 0
+    for picks in product(*([0, *options] for options in streamed[:lead])):
+        np.subtract(goal - sum(picks), inner, out=keys)
+        found = np.searchsorted(kept_sums, keys, "right")
+        if mode == MODE_EXACT:
+            found -= np.searchsorted(kept_sums, keys, "left")
+        count += int(found.sum())
+    return CountResult(query, count, "mitm", time.perf_counter() - start)
 
 
 def reciprocal_subsets(

@@ -144,7 +144,10 @@ def _suffix_rows(
 
 
 def iter_solutions(
-    instance: ModInstance, target: int, limit: int | None = None
+    instance: ModInstance,
+    target: int,
+    limit: int | None = None,
+    inverses: list[int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Subsets of I whose inverse sum is target mod q, ordered by (size, lex).
 
@@ -155,7 +158,8 @@ def iter_solutions(
     0 only says that a remaining target of 0 is reached with no element, so
     size 1 is decided by comparing inverses and needs no rows, and on
     reaching each size s >= 2 _suffix_rows appends layer s - 1 to the one
-    table of rows kept for this search.
+    table of rows kept for this search. A caller that already holds the
+    inverses of the elements mod q may pass them, in element order.
     """
     q = instance.q
     if not 0 <= target < max(q, 1):
@@ -167,7 +171,8 @@ def iter_solutions(
             if q == 1:
                 return
         elems = instance.elements
-        invs = [pow(e, -1, q) for e in elems]  # an instance's elements are units mod q
+        # an instance's elements are units mod q
+        invs = inverses if inverses is not None else [pow(e, -1, q) for e in elems]
         m = len(elems)
         suffix: list[list[int]] = []  # suffix[j]: the row of elems[j:], from size 2 on
 

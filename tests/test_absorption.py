@@ -47,8 +47,10 @@ def test_config_partition(config):
         assert max_prime_power_factor(m) <= t_u
     # pools: descending cofactors, coprime, off-reservoir, strictly smaller
     # prime-power content than q itself
+    assert config.inverses.keys() == config.pools.keys()
     for q, pool in config.pools.items():
         assert list(pool) == sorted(pool, reverse=True)
+        assert [b * inv % q for b, inv in zip(pool, config.inverses[q], strict=True)] == [1] * len(pool)
         for b in pool:
             assert gcd(b, q) == 1
             assert q * b <= config.n

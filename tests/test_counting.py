@@ -309,6 +309,9 @@ def test_block_groups_take_exactly_the_eligible_top_powers(n):
                 assert multiples <= singles
 
 
+ATMOST_TARGETS = [Fraction(1, 2), Fraction(1), Fraction(5, 6), Fraction(3, 2), Fraction(2), Fraction(7, 9)]
+
+
 @pytest.mark.parametrize("n", range(25, 35))
 def test_mitm_atmost_matches_bisect_lcm_mitm(n):
     # the plain route: lcm(1..n)-scaled Python-int lists split at n // 2,
@@ -321,7 +324,7 @@ def test_mitm_atmost_matches_bisect_lcm_mitm(n):
             sums += [s + scale // m for s in sums]
         halves.append(sums)
     left, right = halves[0], sorted(halves[1])
-    for x in (Fraction(1, 2), Fraction(1), Fraction(5, 6), Fraction(3, 2), Fraction(2), Fraction(7, 9)):
+    for x in ATMOST_TARGETS:
         threshold = x.numerator * scale // x.denominator
         want = sum(bisect_right(right, threshold - s) for s in left)
         assert count_mitm(CountQuery(n, x, MODE_AT_MOST)).count == want
@@ -350,7 +353,7 @@ def test_mitm_atmost_counts_pinned():
 
 
 def test_mitm_refuses_past_the_memory_estimate():
-    # n = 48 is within MITM_CAP, but mode "atmost" would hold about 1.4 GiB
+    # n = 48 is within MITM_CAP, but mode "atmost" would keep about 968 MiB
     # of Python ints; the estimate refuses before any sum is listed
     start = time.perf_counter()
     with pytest.raises(ValueError, match="MiB"):
@@ -359,12 +362,70 @@ def test_mitm_refuses_past_the_memory_estimate():
 
 
 def test_mitm_estimate_counts_the_searchsorted_results(monkeypatch):
-    # n = 40 atmost holds 2 * 2**20 int64 half sums (16 MiB), their sorts'
-    # merge buffers (8 MiB at 4 bytes an entry) and 2**20 int64 counts
-    # (8 MiB); the refusal's figure is the sum of all three
-    monkeypatch.setattr(counting, "MITM_MEMORY_CAP", 20 * 2**20)
-    with pytest.raises(ValueError, match="32 MiB"):
+    # n = 40 atmost keeps 2**20 int64 half sums at 12 bytes an entry, merge
+    # buffer included (12 MiB), and streams the other half in blocks of
+    # 2**16 sums: the inner block and its keys at 12 bytes an entry and the
+    # int64 searchsorted results (2 MiB in all); 14 MiB is over a cap one
+    # byte below it
+    monkeypatch.setattr(counting, "MITM_MEMORY_CAP", 14 * 2**20 - 1)
+    with pytest.raises(ValueError, match="14 MiB"):
         count_mitm(CountQuery(40, Fraction(1), MODE_AT_MOST))
+
+
+def test_mitm_admits_by_the_kept_half(monkeypatch):
+    # only the kept half is listed whole: n = 45 atmost keeps 2**22 Python
+    # ints and is admitted (248 MiB), n = 48 keeps 2**24 and is refused
+    # (968 MiB) before any sum is listed
+    class Listed(Exception):
+        pass
+
+    def listing(groups, dtype):
+        raise Listed
+
+    monkeypatch.setattr(counting, "_sorted_sums", listing)
+    with pytest.raises(Listed):
+        count_mitm(CountQuery(45, Fraction(1), MODE_AT_MOST))
+    with pytest.raises(ValueError, match="MiB"):
+        count_mitm(CountQuery(48, Fraction(1), MODE_AT_MOST))
+
+
+@pytest.mark.parametrize("block", [1, 4])
+@pytest.mark.parametrize("n", range(1, 23))
+def test_mitm_small_blocks_match_brute(n, block, monkeypatch):
+    # with blocks of at most 4 sums the streamed half runs as many outer
+    # sums; with 1 the inner block is empty and every streamed sum is one
+    monkeypatch.setattr(counting, "_BLOCK_SUMS", block)
+    for x in BLOCK_TARGETS:
+        query = CountQuery(n, x, MODE_EXACT)
+        assert count_mitm(query).count == count_brute(query).count
+    for x in ATMOST_TARGETS:
+        query = CountQuery(n, x, MODE_AT_MOST)
+        assert count_mitm(query).count == count_brute(query).count
+
+
+@pytest.mark.parametrize("block", [1, 4])
+@pytest.mark.parametrize("n", [1, 7, 12, 17, 22])
+def test_mitm_small_blocks_take_exact_ints(n, block, monkeypatch):
+    monkeypatch.setattr(counting, "_BLOCK_SUMS", block)
+    for x in (Fraction(2**70), Fraction(2**70 + 1, 3)):
+        for mode in (MODE_EXACT, MODE_AT_MOST):
+            query = CountQuery(n, x, mode)
+            assert count_mitm(query).count == count_brute(query).count
+
+
+@pytest.mark.parametrize("x", [Fraction(1), Fraction(3, 2)])
+def test_mitm_atmost_recurrence(x):
+    # a subset of [1, n] either leaves n out or takes it, so
+    # count(n, x) = count(n - 1, x) + count(n - 1, x - 1/n), past brute
+    # force and whatever the cut and the block boundaries
+    def count(n, y):
+        return count_mitm(CountQuery(n, y, MODE_AT_MOST)).count
+
+    prev = count(35, x)
+    for n in range(36, 42):
+        cur = count(n, x)
+        assert cur == prev + count(n - 1, x - Fraction(1, n))
+        prev = cur
 
 
 def test_mitm_huge_target_takes_exact_ints():

@@ -206,6 +206,9 @@ def test_iter_solutions_matches_brute_on_random_instances():
         for target in range(q):
             brute = brute_solutions(inst, target)
             assert list(iter_solutions(inst, target, limit=limit)) == brute[:limit]
+            # the same search from inverses the caller computed
+            invs = [pow(e, -1, q) for e in inst.elements]
+            assert list(iter_solutions(inst, target, limit=limit, inverses=invs)) == brute[:limit]
             late += bool(brute) and len(brute[0]) >= 3
     assert late > 0
 
