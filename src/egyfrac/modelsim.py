@@ -9,18 +9,26 @@ change any outcome. A run of trials re-keys one Philox in place before each
 trial and draws into one reused buffer; each trial's stream is the one a
 fresh Philox keyed (seed, trial) would give.
 
-`estimate_prob_at_most` draws a long run's trials on forked workers (see
-`egyfrac.workers`, imported by the first estimate); `sample_model` and
-`sample_z_values` always run in the caller.
+`estimate_prob_at_most` may share a long run's trials with one forked
+helper process: trials are cut into contiguous chunks of about 2**16
+draws, the helper draws the odd chunks and sends back one outcome byte per
+trial through a pipe, and the caller draws the even chunks and hands the
+outcomes on in trial order. The caller alone reads the clock, so a
+deadline cuts the run to a prefix of trials. A run that _may_fork
+refuses, short runs among them, or whose pipe or fork fails stays in the
+caller, as `sample_model` and `sample_z_values` always do.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -31,6 +39,20 @@ from .exactmath import reciprocal_sum
 # recomputed in exact rational arithmetic. The float error of a dot product
 # over 1e5 terms is ~1e-11, so the band is two orders wider.
 _EXACT_BAND = 1e-9
+
+# A chunk, the unit of trials dealt to the caller or the helper, holds about
+# this many uniform draws: max(1, _CHUNK_DRAWS // n) trials.
+_CHUNK_DRAWS = 2**16
+
+# A run of fewer uniform draws (trials * n) stays in the caller. On a 2-core
+# VM a forked helper made a run slower, or barely faster, up to 2**21 draws
+# (the fork, its copy-on-write faults and the reap cost ~4-10 ms) and 19-43 %
+# faster from 2**22 draws on, at every n from 100 to 1e5.
+_FORK_DRAWS = 2**22
+
+# signal.SIGKILL, fixed by POSIX; the signal module's enums would add ~80 kB
+# to the peak RSS of every simulate run.
+_SIGKILL = 9
 
 __all__ = [
     "MomentSummary",
@@ -130,6 +152,124 @@ def _inclusion_masks(
         yield u
 
 
+def _may_fork(draws: int, chunks: int) -> bool:
+    """Whether a run of `draws` uniform draws in `chunks` chunks forks a helper.
+
+    A run under _FORK_DRAWS draws or of one chunk stays in the caller, and
+    so does every run where a fork would be unsafe: it needs os.fork, and a
+    process with a second thread is not forked, since the child would hold
+    only the forking thread and any lock another thread held at the fork
+    stays locked in it. Otherwise it forks when the affinity mask holds two
+    CPUs or more.
+    """
+    return (
+        draws >= _FORK_DRAWS
+        and chunks >= 2
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and threading.active_count() == 1
+        and len(os.sched_getaffinity(0)) >= 2
+    )
+
+
+def _serve(pipe: BinaryIO, inherited: BinaryIO, chunks: Iterator[bytes]) -> NoReturn:
+    """The helper's whole life: write and flush each chunk's outcome bytes to pipe, then _exit.
+
+    The helper closes the read end it inherited, so a pipe whose caller is
+    gone breaks on the next write and the helper leaves with status 1, as
+    it does on an interrupt. Any other error is printed to fd 2. It never
+    returns into the caller's code: os._exit skips atexit handlers and
+    flushes no stdio buffer copied from the caller.
+    """
+    try:
+        inherited.close()
+        for data in chunks:
+            pipe.write(data)
+            pipe.flush()
+    except (BrokenPipeError, KeyboardInterrupt):
+        os._exit(1)
+    except BaseException:
+        try:
+            import traceback
+
+            os.write(2, traceback.format_exc().encode(errors="replace"))
+        finally:
+            os._exit(1)
+    os._exit(0)
+
+
+def _trial_outcomes(
+    profile: EntropyProfile, seed: int, trials: int, judge: Callable[[np.ndarray], int]
+) -> Iterator[int]:
+    """judge(mask) for trials 0..trials-1 in order, the odd chunks drawn by a forked helper.
+
+    The helper is forked at the first next() when _may_fork allows it. The
+    caller draws its own chunks lazily, one trial per next(); each process
+    keeps one Philox and one mask buffer for all its chunks. If the pipe or
+    fork fails, the caller draws every chunk. Closing the generator closes
+    the pipe, kills the helper if it is still running and reaps it. A
+    helper that ends before writing its chunk raises RuntimeError with its
+    exit status.
+    """
+    size = max(1, _CHUNK_DRAWS // profile.n)
+    n_chunks = -(-trials // size)
+
+    def chunk(c: int) -> range:
+        return range(c * size, min(c * size + size, trials))
+
+    def outcomes(chunks: range) -> Iterator[int]:
+        mine = (t for c in chunks for t in chunk(c))
+        return map(judge, _inclusion_masks(profile, seed, mine))
+
+    def helper_bytes() -> Iterator[bytes]:
+        # A generator, so the helper computes nothing before _serve's try.
+        odd = range(1, n_chunks, 2)
+        mine = outcomes(odd)
+        for c in odd:
+            yield bytes(islice(mine, len(chunk(c))))
+
+    pid = 0
+    pipe = None
+    try:
+        if _may_fork(trials * profile.n, n_chunks):
+            try:
+                fd, wfd = os.pipe()
+                pipe = os.fdopen(fd, "rb")
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _serve(os.fdopen(wfd, "wb"), pipe, helper_bytes())
+                finally:
+                    os.close(wfd)
+            except OSError:
+                # A helper only speeds a run up (a fork fails with EAGAIN at
+                # a process limit): without it the caller draws every chunk.
+                pass
+        step = 2 if pid else 1
+        own = outcomes(range(0, n_chunks, step))
+        for c in range(n_chunks):
+            want = len(chunk(c))
+            if c % step == 0:
+                yield from islice(own, want)
+                continue
+            data = pipe.read(want)
+            if len(data) < want:
+                helper, pid = pid, 0
+                status = os.waitstatus_to_exitcode(os.wait4(helper, 0)[1])
+                raise RuntimeError(
+                    f"simulate helper {helper} stopped after {len(data)} of {want} "
+                    f"outcomes of trials {chunk(c).start}..{chunk(c).stop - 1} "
+                    f"(exit status {status})"
+                )
+            yield from data
+    finally:
+        if pipe is not None:
+            pipe.close()
+        if pid:
+            os.kill(pid, _SIGKILL)
+            os.wait4(pid, 0)
+
+
 def sample_model(profile: EntropyProfile, seed: int) -> ModelSample:
     """One subset drawn from the model, with its exact rational sum."""
     seed = _check_seed(seed)
@@ -165,16 +305,13 @@ def estimate_prob_at_most(
     with key (seed, t), so a shorter run counts exactly the first trials of
     a longer one.
 
-    A run of at least 2**22 draws (trials * n) runs on up to two workers,
-    at most one per CPU in the affinity mask: this process and a forked
-    helper, each drawing contiguous chunks of about 2**16 draws dealt
-    round-robin (see egyfrac.workers); a shorter run stays in this
-    process. Outcomes are counted in trial order and every trial is judged
-    by the same checks wherever it ran, so the result does not depend on
-    the number of workers. Only this process reads the clock, once before
-    counting each trial: past a deadline (time.monotonic value) no further
-    trial is counted, the result's `trials` says how many were, and a
-    ValueError is raised when none was.
+    A long run shares its trials with one forked helper (see
+    _trial_outcomes). Outcomes are counted in trial order and every trial
+    is judged by the same checks wherever it ran, so the result does not
+    depend on whether a helper ran. Only this process reads the clock, once
+    before counting each trial: past a deadline (time.monotonic value) no
+    further trial is counted, the result's `trials` says how many were, and
+    a ValueError is raised when none was.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -192,9 +329,7 @@ def estimate_prob_at_most(
             return 2 | (reciprocal_sum(members) <= x)
         return int(z <= xf)
 
-    from .workers import trial_outcomes
-
-    stream = trial_outcomes(profile, seed, trials, judge)
+    stream = _trial_outcomes(profile, seed, trials, judge)
     hits = 0
     fallbacks = 0
     ran = 0

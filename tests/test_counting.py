@@ -96,6 +96,17 @@ def test_full_range_counts():
         assert count_mitm(CountQuery(n, h, MODE_AT_MOST)).count == 2**n
 
 
+@pytest.mark.parametrize(
+    "n, at_one, at_three_halves", [(24, 41, 42), (30, 200, 225), (36, 852, 1055), (40, 1655, 2079)]
+)
+def test_mitm_counts_equal_at_complementary_targets(n, at_one, at_three_halves):
+    # A -> [1, n] \ A maps sum x onto H_n - x; H_n - x has a large
+    # denominator, so the two sides eliminate different blocks
+    for x, want in ((Fraction(1), at_one), (Fraction(3, 2), at_three_halves)):
+        assert count_mitm(CountQuery(n, x, MODE_EXACT)).count == want
+        assert count_mitm(CountQuery(n, harmonic(n) - x, MODE_EXACT)).count == want
+
+
 def test_at_most_monotone_in_x():
     n = 12
     prev = 0

@@ -18,12 +18,13 @@ from itertools import count, product
 import numpy as np
 import pytest
 
-from egyfrac import workers
 from egyfrac.cli import run
 from egyfrac.entropy import EntropyProfile, discrete_profile
 from egyfrac.modelsim import (
+    _FORK_DRAWS,
     ModelSample,
     _inclusion_masks,
+    _trial_outcomes,
     _trial_rng,
     estimate_prob_at_most,
     model_moments,
@@ -241,7 +242,7 @@ def use_cpus(monkeypatch, k, fork_draws=0):
     runs below fork, which the real threshold would keep in the caller.
     """
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
-    monkeypatch.setattr(workers, "_FORK_DRAWS", fork_draws)
+    monkeypatch.setattr("egyfrac.modelsim._FORK_DRAWS", fork_draws)
     forks = []
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or REAL_FORK())
     return forks
@@ -274,9 +275,9 @@ def test_estimate_does_not_depend_on_the_worker_count(monkeypatch, n):
     results = []
     for cpus in (1, 2, 3):
         forks = use_cpus(monkeypatch, cpus)
-        assert list(workers.trial_outcomes(prof, 7, trials, judge)) == serial
+        assert list(_trial_outcomes(prof, 7, trials, judge)) == serial
         results.append(estimate_prob_at_most(prof, x, trials, seed=7))
-        assert len(forks) == 2 * (min(cpus, workers._MAX_WORKERS, chunks) - 1)
+        assert len(forks) == 2 * (min(cpus, 2, chunks) - 1)
         assert_no_children()
     assert results[0] == results[1] == results[2]
     assert results[0].trials == trials
@@ -289,8 +290,7 @@ def test_estimate_does_not_depend_on_the_worker_count(monkeypatch, n):
 def test_only_long_runs_fork_and_never_more_than_one_helper(monkeypatch):
     # 4191 trials at n = 1001 are the fewest that reach 2**22 draws
     prof, x, _, _ = WORKER_CASES[1001]
-    forks = use_cpus(monkeypatch, 4, fork_draws=workers._FORK_DRAWS)
-    assert workers._MAX_WORKERS == 2
+    forks = use_cpus(monkeypatch, 4, fork_draws=_FORK_DRAWS)
     short = estimate_prob_at_most(prof, x, 4190, seed=7)
     assert forks == []
     long = estimate_prob_at_most(prof, x, 4191, seed=7)
@@ -300,31 +300,40 @@ def test_only_long_runs_fork_and_never_more_than_one_helper(monkeypatch):
     assert short == estimate_prob_at_most(prof, x, 4190, seed=7)
 
 
-@pytest.mark.parametrize("failing_fork", [1, 2])
-def test_failed_fork_falls_back_to_the_caller(monkeypatch, failing_fork):
-    # three workers allowed, so the second fork's failure must also stop the
-    # helper the first one made
+def test_failed_fork_falls_back_to_the_caller(monkeypatch):
     prof, x, trials, _ = WORKER_CASES[1001]
     serial = estimate_prob_at_most(prof, x, trials, seed=7)
-    monkeypatch.setattr(workers, "_MAX_WORKERS", 3)
     forks = use_cpus(monkeypatch, 3)
 
     def fork():
         forks.append(1)
-        if len(forks) == failing_fork:
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-        return REAL_FORK()
+        raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", fork)
     assert estimate_prob_at_most(prof, x, trials, seed=7) == serial
-    assert len(forks) == failing_fork
+    assert len(forks) == 1
     assert_no_children()
-    # a helper forked before the failure is reaped before the first outcome
+    # the failed fork leaves no child behind the first outcome
     forks.clear()
-    stream = workers.trial_outcomes(prof, 7, trials, lambda mask: 0)
+    stream = _trial_outcomes(prof, 7, trials, lambda mask: 0)
     assert next(stream) == 0
+    assert len(forks) == 1
     assert_no_children()
     stream.close()
+
+
+def test_failed_pipe_falls_back_to_the_caller(monkeypatch):
+    prof, x, trials, _ = WORKER_CASES[1001]
+    serial = estimate_prob_at_most(prof, x, trials, seed=7)
+    forks = use_cpus(monkeypatch, 2)
+
+    def pipe():
+        raise OSError(24, "Too many open files")
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    assert estimate_prob_at_most(prof, x, trials, seed=7) == serial
+    assert forks == []
+    assert_no_children()
 
 
 def test_deadline_cut_inside_a_helper_chunk_keeps_the_first_trials(monkeypatch):
