@@ -11,9 +11,10 @@ lists of construct traces joined in C.
 coverage histograms). A relative --out path is resolved against
 EGYFRAC_OUT_DIR when that variable is set.
 
-Exit codes: 0 success, 1 domain or numeric error, 2 usage error (including
---budget on a subcommand other than simulate and construct, the two that
-honour it), 3 budget exceeded (payload flagged "truncated").
+Exit codes: 0 success, 1 domain or numeric error (a MemoryError included),
+2 usage error (including --budget on a subcommand other than simulate and
+construct, the two that honour it, or a NaN or negative budget), 3 budget
+exceeded (payload flagged "truncated").
 """
 
 from __future__ import annotations
@@ -69,6 +70,14 @@ def parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
 
 
+def _budget_seconds(text: str) -> float:
+    """Parse --budget SECONDS: a float >= 0 (inf included); NaN is refused."""
+    seconds = float(text)
+    if not seconds >= 0:
+        raise argparse.ArgumentTypeError(f"not a budget: {text!r} (expected seconds >= 0)")
+    return seconds
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="egyfrac",
@@ -83,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument(
                 "--budget",
-                type=float,
+                type=_budget_seconds,
                 default=None,
                 help="wall-clock seconds; multi-part work stops early and is flagged truncated",
             )
@@ -407,8 +416,8 @@ def run(argv=None) -> int:
     }
     try:
         payload = handlers[args.command]()
-    except (ValueError, ZeroDivisionError, OverflowError, RuntimeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (ValueError, ZeroDivisionError, OverflowError, RuntimeError, MemoryError) as exc:
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return 1
 
     csv_rows = payload.pop("_csv", None)

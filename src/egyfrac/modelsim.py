@@ -9,14 +9,15 @@ change any outcome. A run of trials re-keys one Philox in place before each
 trial and draws into one reused buffer; each trial's stream is the one a
 fresh Philox keyed (seed, trial) would give.
 
-`estimate_prob_at_most` may share a long run's trials with one forked
+`sample_z_values` and `estimate_prob_at_most` read each trial's float64 Z
+from one runner, which may share a long run's trials with one forked
 helper process: trials are cut into contiguous chunks of about 2**16
-draws, the helper draws the odd chunks and sends back one outcome byte per
-trial through a pipe, and the caller draws the even chunks and hands the
-outcomes on in trial order. The caller alone reads the clock, so a
+draws, the helper draws the odd chunks and sends back each trial's Z as 8
+bytes through a pipe, and the caller draws the even chunks and hands the
+Z values on in trial order. The caller alone reads the clock, so a
 deadline cuts the run to a prefix of trials. A run that _may_fork
 refuses, short runs among them, or whose pipe or fork fails stays in the
-caller, as `sample_model` and `sample_z_values` always do.
+caller, as `sample_model` always does.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ import math
 import os
 import threading
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn
+from typing import BinaryIO, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -173,7 +175,7 @@ def _may_fork(draws: int, chunks: int) -> bool:
 
 
 def _serve(pipe: BinaryIO, inherited: BinaryIO, chunks: Iterator[bytes]) -> NoReturn:
-    """The helper's whole life: write and flush each chunk's outcome bytes to pipe, then _exit.
+    """The helper's whole life: write and flush each chunk's bytes to pipe, then _exit.
 
     The helper closes the read end it inherited, so a pipe whose caller is
     gone breaks on the next write and the helper leaves with status 1, as
@@ -198,35 +200,34 @@ def _serve(pipe: BinaryIO, inherited: BinaryIO, chunks: Iterator[bytes]) -> NoRe
     os._exit(0)
 
 
-def _trial_outcomes(
-    profile: EntropyProfile, seed: int, trials: int, judge: Callable[[np.ndarray], int]
-) -> Iterator[int]:
-    """judge(mask) for trials 0..trials-1 in order, the odd chunks drawn by a forked helper.
+def _trial_z(profile: EntropyProfile, seed: int, trials: int) -> Iterator[float]:
+    """Z = dot(mask, 1/m) of trials 0..trials-1 in order, the odd chunks drawn by a forked helper.
 
-    The helper is forked at the first next() when _may_fork allows it. The
-    caller draws its own chunks lazily, one trial per next(); each process
-    keeps one Philox and one mask buffer for all its chunks. If the pipe or
-    fork fails, the caller draws every chunk. Closing the generator closes
-    the pipe, kills the helper if it is still running and reaps it. A
-    helper that ends before writing its chunk raises RuntimeError with its
-    exit status.
+    The helper is forked at the first next() when _may_fork allows it, and
+    sends each of its trials' Z as a native float64. The caller draws its
+    own chunks lazily, one trial per next(); each process keeps one Philox
+    and one mask buffer for all its chunks. If the pipe or fork fails, the
+    caller draws every chunk. Closing the generator closes the pipe, kills
+    the helper if it is still running and reaps it. A helper that ends
+    before writing its chunk raises RuntimeError with its exit status.
     """
     size = max(1, _CHUNK_DRAWS // profile.n)
     n_chunks = -(-trials // size)
+    inv = 1.0 / np.arange(1, profile.n + 1, dtype=np.float64)
 
     def chunk(c: int) -> range:
         return range(c * size, min(c * size + size, trials))
 
-    def outcomes(chunks: range) -> Iterator[int]:
+    def z_values(chunks: range) -> Iterator[float]:
         mine = (t for c in chunks for t in chunk(c))
-        return map(judge, _inclusion_masks(profile, seed, mine))
+        return (float(np.dot(mask, inv)) for mask in _inclusion_masks(profile, seed, mine))
 
     def helper_bytes() -> Iterator[bytes]:
         # A generator, so the helper computes nothing before _serve's try.
         odd = range(1, n_chunks, 2)
-        mine = outcomes(odd)
+        mine = z_values(odd)
         for c in odd:
-            yield bytes(islice(mine, len(chunk(c))))
+            yield np.fromiter(mine, np.float64, len(chunk(c))).tobytes()
 
     pid = 0
     pipe = None
@@ -246,22 +247,22 @@ def _trial_outcomes(
                 # a process limit): without it the caller draws every chunk.
                 pass
         step = 2 if pid else 1
-        own = outcomes(range(0, n_chunks, step))
+        own = z_values(range(0, n_chunks, step))
         for c in range(n_chunks):
             want = len(chunk(c))
             if c % step == 0:
                 yield from islice(own, want)
                 continue
-            data = pipe.read(want)
-            if len(data) < want:
+            data = pipe.read(8 * want)
+            if len(data) < 8 * want:
                 helper, pid = pid, 0
                 status = os.waitstatus_to_exitcode(os.wait4(helper, 0)[1])
                 raise RuntimeError(
-                    f"simulate helper {helper} stopped after {len(data)} of {want} "
-                    f"outcomes of trials {chunk(c).start}..{chunk(c).stop - 1} "
+                    f"simulate helper {helper} stopped after {len(data) // 8} of {want} "
+                    f"Z values of trials {chunk(c).start}..{chunk(c).stop - 1} "
                     f"(exit status {status})"
                 )
-            yield from data
+            yield from np.frombuffer(data, np.float64).tolist()
     finally:
         if pipe is not None:
             pipe.close()
@@ -279,15 +280,11 @@ def sample_model(profile: EntropyProfile, seed: int) -> ModelSample:
 
 
 def sample_z_values(profile: EntropyProfile, trials: int, seed: int) -> np.ndarray:
-    """Float64 Z values for trials 0..trials-1 (trial t uses key (seed, t))."""
+    """Float64 Z values for trials 0..trials-1 (trial t uses key (seed, t)), read from _trial_z."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    seed = _check_seed(seed)
-    inv = 1.0 / np.arange(1, profile.n + 1, dtype=np.float64)
-    out = np.empty(trials, dtype=np.float64)
-    for t, included in enumerate(_inclusion_masks(profile, seed, trials)):
-        out[t] = np.dot(included, inv)
-    return out
+    with closing(_trial_z(profile, _check_seed(seed), trials)) as stream:
+        return np.fromiter(stream, np.float64, trials)
 
 
 def estimate_prob_at_most(
@@ -305,13 +302,13 @@ def estimate_prob_at_most(
     with key (seed, t), so a shorter run counts exactly the first trials of
     a longer one.
 
-    A long run shares its trials with one forked helper (see
-    _trial_outcomes). Outcomes are counted in trial order and every trial
-    is judged by the same checks wherever it ran, so the result does not
-    depend on whether a helper ran. Only this process reads the clock, once
-    before counting each trial: past a deadline (time.monotonic value) no
-    further trial is counted, the result's `trials` says how many were, and
-    a ValueError is raised when none was.
+    Each trial's Z comes from _trial_z, which may share a long run's trials
+    with one forked helper; this process judges every trial, in trial
+    order, and draws an in-band trial's mask again to sum it exactly, so
+    the result does not depend on whether a helper ran. Only this process
+    reads the clock, once before counting each trial: past a deadline
+    (time.monotonic value) no further trial is counted, the result's
+    `trials` says how many were, and a ValueError is raised when none was.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -319,30 +316,21 @@ def estimate_prob_at_most(
     x = Fraction(x)
     xf = float(x)
     band = _EXACT_BAND * max(1.0, abs(xf))
-    inv = 1.0 / np.arange(1, profile.n + 1, dtype=np.float64)
-
-    def judge(included: np.ndarray) -> int:
-        # bit 0: Z <= x; bit 1: decided in exact arithmetic
-        z = float(np.dot(included, inv))
-        if abs(z - xf) <= band:
-            members = tuple(int(i) for i in np.flatnonzero(included) + 1)
-            return 2 | (reciprocal_sum(members) <= x)
-        return int(z <= xf)
-
-    stream = _trial_outcomes(profile, seed, trials, judge)
-    hits = 0
-    fallbacks = 0
-    ran = 0
-    try:
+    hits = fallbacks = ran = 0
+    # Each next() draws trial `ran` again, re-keying one Philox, not building one.
+    redraw = _inclusion_masks(profile, seed, iter(lambda: ran, -1))
+    with closing(_trial_z(profile, seed, trials)) as stream:
         while ran < trials:
             if deadline is not None and time.monotonic() > deadline:
                 break
-            outcome = next(stream)
+            z = next(stream)
+            if abs(z - xf) <= band:
+                included = next(redraw)
+                hits += reciprocal_sum(int(i) for i in np.flatnonzero(included) + 1) <= x
+                fallbacks += 1
+            else:
+                hits += z <= xf
             ran += 1
-            hits += outcome & 1
-            fallbacks += outcome >> 1
-    finally:
-        stream.close()
     if ran == 0:
         raise ValueError("budget too small to run any trials")
     phat = hits / ran

@@ -226,6 +226,32 @@ def test_budget_truncation_exit_3(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+@pytest.mark.parametrize("command", ["simulate", "construct"])
+def test_budget_must_be_a_number_of_seconds(capsys, command, budget):
+    # float() takes both, yet a NaN deadline never passes and -1 is spent at once
+    argv = {
+        "simulate": ["--n", "100", "--x", "1/1", "--trials", "10"],
+        "construct": ["--n", "400", "--x", "1/1"],
+    }
+    code, out, err = invoke(capsys, [command] + argv[command] + ["--budget", budget])
+    assert code == 2
+    assert out == ""
+    assert "--budget" in err
+
+
+def test_memory_error_exits_1_with_one_error_line(capsys, monkeypatch):
+    # numpy's failed allocations raise a MemoryError subclass
+    def powersmooth_count(n, t):
+        raise MemoryError()
+
+    monkeypatch.setattr(egyfrac.cli, "powersmooth_count", powersmooth_count)
+    code, out, err = invoke(capsys, ["sieve", "--n", "100", "--t", "10"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: MemoryError\n"
+
+
 _SUBCOMMAND_ARGV = {
     "count": ["--n", "6", "--x", "1/1"],
     "entropy": ["--n", "50", "--x", "1/1"],

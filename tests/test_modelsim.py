@@ -24,8 +24,8 @@ from egyfrac.modelsim import (
     _FORK_DRAWS,
     ModelSample,
     _inclusion_masks,
-    _trial_outcomes,
     _trial_rng,
+    _trial_z,
     estimate_prob_at_most,
     model_moments,
     sample_model,
@@ -146,6 +146,13 @@ def test_estimate_ties_are_decided_exactly():
     est = estimate_prob_at_most(prof, Fraction(1, 2), 4000, seed=1)
     assert est.exact_fallbacks > 0
     assert est.estimate == pytest.approx(3.0 / 8.0, abs=4.0 * est.stderr + 1e-9)
+    # every trial, in band or not, is decided by its own subset
+    sums = [
+        sum(Fraction(1, int(m)) for m in np.flatnonzero(mask) + 1)
+        for mask in _inclusion_masks(prof, 1, 4000)
+    ]
+    assert est.estimate == sum(z <= Fraction(1, 2) for z in sums) / 4000
+    assert est.exact_fallbacks == sums.count(Fraction(1, 2))
 
 
 def test_estimate_with_non_dyadic_threshold():
@@ -265,17 +272,14 @@ WORKER_CASES = {
 @pytest.mark.parametrize("n", sorted(WORKER_CASES))
 def test_estimate_does_not_depend_on_the_worker_count(monkeypatch, n):
     prof, x, trials, chunks = WORKER_CASES[n]
-    weights = np.arange(1, n + 1)
-
-    def judge(mask):
-        # a byte that tells the trials apart, so a misplaced chunk shows
-        return int(mask @ weights) % 256
-
-    serial = [judge(mask) for mask in _inclusion_masks(prof, 7, trials)]
+    inv = 1.0 / np.arange(1, n + 1, dtype=np.float64)
+    serial = [float(np.dot(mask, inv)) for mask in _inclusion_masks(prof, 7, trials)]
+    # the last chunk is partial, and a helper draws it when chunks is even
+    assert trials % (2**16 // n) != 0
     results = []
     for cpus in (1, 2, 3):
         forks = use_cpus(monkeypatch, cpus)
-        assert list(_trial_outcomes(prof, 7, trials, judge)) == serial
+        assert list(_trial_z(prof, 7, trials)) == serial
         results.append(estimate_prob_at_most(prof, x, trials, seed=7))
         assert len(forks) == 2 * (min(cpus, 2, chunks) - 1)
         assert_no_children()
@@ -285,6 +289,18 @@ def test_estimate_does_not_depend_on_the_worker_count(monkeypatch, n):
         assert results[0].exact_fallbacks > 0
     if n == 1001:
         assert results[0].estimate == 1550 / 3000
+
+
+def test_sample_z_values_does_not_depend_on_the_worker_count(monkeypatch):
+    prof, _, trials, _ = WORKER_CASES[1001]
+    forks = use_cpus(monkeypatch, 1)
+    serial = sample_z_values(prof, trials, seed=7)
+    assert forks == []
+    forks = use_cpus(monkeypatch, 2)
+    shared = sample_z_values(prof, trials, seed=7)
+    assert len(forks) == 1
+    assert_no_children()
+    assert np.array_equal(shared, serial)
 
 
 def test_only_long_runs_fork_and_never_more_than_one_helper(monkeypatch):
@@ -313,10 +329,10 @@ def test_failed_fork_falls_back_to_the_caller(monkeypatch):
     assert estimate_prob_at_most(prof, x, trials, seed=7) == serial
     assert len(forks) == 1
     assert_no_children()
-    # the failed fork leaves no child behind the first outcome
+    # the failed fork leaves no child behind the first Z value
     forks.clear()
-    stream = _trial_outcomes(prof, 7, trials, lambda mask: 0)
-    assert next(stream) == 0
+    stream = _trial_z(prof, 7, trials)
+    assert next(stream) == sample_z_values(prof, 1, seed=7)[0]
     assert len(forks) == 1
     assert_no_children()
     stream.close()
@@ -352,16 +368,16 @@ def test_deadline_cut_inside_a_helper_chunk_keeps_the_first_trials(monkeypatch):
 
 def test_failing_helper_raises_with_its_exit_status(monkeypatch, capfd):
     # the tie profile of test_estimate_ties_are_decided_exactly, in 3 chunks
-    # of 21845 trials; only the helper's exact comparisons fail
+    # of 21845 trials; only the helper's draws fail
     prof = tiny_profile([0.5, 0.5, 0.5])
     caller = os.getpid()
 
-    def reciprocal_sum(members):
+    def trial_rng(seed, trial, rng=None):
         if os.getpid() != caller:
             raise ZeroDivisionError("injected helper failure")
-        return sum(Fraction(1, m) for m in members)
+        return _trial_rng(seed, trial, rng)
 
-    monkeypatch.setattr("egyfrac.modelsim.reciprocal_sum", reciprocal_sum)
+    monkeypatch.setattr("egyfrac.modelsim._trial_rng", trial_rng)
     forks = use_cpus(monkeypatch, 2)
     with pytest.raises(RuntimeError, match=r"stopped after 0 of 21845 .*exit status 1"):
         estimate_prob_at_most(prof, Fraction(1, 2), 50000, seed=1)
