@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, product
-from math import lcm, prod
+from math import lcm
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -55,17 +55,8 @@ MITM_MEMORY_CAP = 512 * 2**20
 _BLOCK_SUMS = 2**16
 
 __all__ = [
-    "MODE_EXACT",
-    "MODE_AT_MOST",
-    "BRUTE_CAP",
-    "MITM_CAP",
-    "ENUM_CAP",
-    "MITM_MEMORY_CAP",
-    "CountQuery",
-    "CountResult",
-    "count_brute",
-    "count_mitm",
-    "enumerate_representations",
+    "MODE_EXACT", "MODE_AT_MOST", "BRUTE_CAP", "MITM_CAP", "ENUM_CAP", "MITM_MEMORY_CAP",
+    "CountQuery", "CountResult", "count_brute", "count_mitm", "enumerate_representations",
     "reciprocal_subsets",
 ]
 
@@ -171,26 +162,28 @@ def _block_groups(n: int, den: int) -> list[list[tuple[int, ...]]]:
     return [group for group in groups if group]
 
 
-def _sorted_sums(groups: list[list[int]], dtype) -> np.ndarray:
-    """Every sum taking at most one option weight from each group, ascending.
+def _sorted_sums(groups: list[list[int]], dtype, goal: int | None = None) -> np.ndarray:
+    """Every sum up to goal taking at most one option weight from each group, ascending.
 
     The empty option (weight 0) is implicit, so a singleton group [w] is the
-    plain include-or-skip step of a subset-sum list. One array of
-    prod(len(group) + 1) entries is filled in place: with k sums listed,
-    option j's sums go to sums[j*k:(j+1)*k]. The prefix then holds
-    len(group) + 1 ascending runs, which a stable sort (a timsort for int64
-    and object arrays) merges run by run, so no step pays a full sort; on
-    object arrays a full sort is several times slower.
+    plain include-or-skip step of a subset-sum list. Weights are >= 0, so a
+    sum above goal stays above it: option w adds only the listed sums up to
+    goal - w (all when goal is None), a prefix. The array is resized in place
+    (no view of it is alive) to append them, so it holds len(group) + 1
+    ascending runs, which a stable sort (a timsort for int64 and object
+    arrays) merges run by run; on object arrays a full sort is several times
+    slower.
     """
     import numpy as np
-    sums = np.empty(prod(len(options) + 1 for options in groups), dtype=dtype)
-    sums[0] = 0
-    k = 1
+    sums = np.zeros(1, dtype=dtype)
     for options in groups:
-        for j, w in enumerate(options, 1):
-            np.add(sums[:k], w, out=sums[j * k : (j + 1) * k])
-        k *= len(options) + 1
-        sums[:k].sort(kind="stable")
+        k = len(sums)
+        cuts = [k if goal is None else int(np.searchsorted(sums, goal - w, "right")) for w in options]
+        sums.resize(k + sum(cuts), refcheck=False)
+        for w, cut in zip(options, cuts):
+            np.add(sums[:cut], w, out=sums[k : k + cut])
+            k += cut
+        sums.sort(kind="stable")
     return sums
 
 
@@ -223,24 +216,25 @@ def count_mitm(query: CountQuery, cap: int = MITM_CAP) -> CountResult:
     goal - o - inner are searched in the kept half: mode "atmost" counts the
     kept sums <= each key (searchsorted "right"), mode "exact" those equal
     to it ("right" minus "left"), and the block's total is added to an
-    exact Python int. The arrays are int64 when the largest value any step
-    can hold (the sum of each group's largest weight, plus the goal, plus 1)
-    is below 2**63, and exact Python ints (dtype object) otherwise: at x = 1
-    mode "atmost" stays int64 up to n = 42, and mode "exact", scaled by the
-    lcm of the surviving block elements only, at every n the cap allows.
+    exact Python int. Weights are >= 0, so a sum above the goal takes part
+    in no count: the kept half and the inner block list only the sums up to
+    the goal, and an o above it is skipped. The arrays are int64 when the
+    largest value any step can hold (the sum of each group's largest
+    weight, plus the goal, plus 1) is below 2**63, and exact Python ints
+    (dtype object) otherwise: at x = 1 mode "atmost" stays int64 up to
+    n = 42, and mode "exact", scaled by the lcm of the surviving block
+    elements only, at every n the cap allows.
 
-    Before any sum is listed, the memory is estimated: the kept half, plus
-    the block temporaries, which are the inner block, its keys and the
-    searchsorted results at 8 bytes a key (mode "atmost") or 16 (mode
-    "exact", two arrays at once); a query estimated above MITM_MEMORY_CAP
-    bytes raises ValueError. Every listed entry counts 4 bytes of the
-    stable sort's merge buffer, which holds up to k/2 entries when k are
-    sorted. So an int64 entry costs 12 bytes, and an object entry its 8-byte
-    pointer, 4 bytes of buffer and its int, taken at the bound's size
-    rounded up to the allocator's 16-byte blocks. At n = 40 mode "atmost"
-    this reads 14 MiB against 11.8 MiB measured above what the process held
-    before the call. At x = 1 mode "atmost" is admitted up to n = 47 (488
-    MiB estimated, 481 MiB measured) and refused at n = 48 (968 MiB).
+    Before any sum is listed, the memory is estimated as if none were
+    dropped: the kept half, plus the block temporaries, which are the inner
+    block, its keys and the searchsorted results at 8 bytes a key (mode
+    "atmost") or 16 (mode "exact", two arrays at once); a query estimated
+    above MITM_MEMORY_CAP bytes raises ValueError. Every listed entry counts
+    4 bytes of the stable sort's merge buffer, which holds up to k/2 entries
+    when k are sorted. So an int64 entry costs 12 bytes, and an object entry
+    its 8-byte pointer, 4 bytes of buffer and its int, taken at the bound's
+    size rounded up to the allocator's 16-byte blocks. docs/schemas.md gives
+    the admitted range and measured peaks.
     """
     if query.n > cap:
         raise ValueError(
@@ -286,12 +280,15 @@ def count_mitm(query: CountQuery, cap: int = MITM_CAP) -> CountResult:
             f"count_mitm refuses n={n}: its kept half sums and join blocks need about "
             f"{estimate / 2**20:.0f} MiB, over the {MITM_MEMORY_CAP // 2**20} MiB memory cap"
         )
-    kept_sums = _sorted_sums(kept, dtype)
-    inner = _sorted_sums(streamed[lead:], dtype)
+    kept_sums = _sorted_sums(kept, dtype, goal)
+    inner = _sorted_sums(streamed[lead:], dtype, goal)
     keys = np.empty_like(inner)
     count = 0
     for picks in product(*([0, *options] for options in streamed[:lead])):
-        np.subtract(goal - sum(picks), inner, out=keys)
+        rest = goal - sum(picks)
+        if rest < 0:
+            continue
+        np.subtract(rest, inner, out=keys)
         found = np.searchsorted(kept_sums, keys, "right")
         if mode == MODE_EXACT:
             found -= np.searchsorted(kept_sums, keys, "left")

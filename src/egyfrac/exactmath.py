@@ -6,6 +6,8 @@ equality, never a tolerance check. Every exact sum of unit fractions in the
 package goes through one kernel, `reciprocal_sum`, and every prime list
 comes from one sieve, `FactorSieve`'s smallest-prime-factor table. m is
 t-powersmooth when every maximal prime power p**a dividing m is at most t.
+The table and counts of max prime powers come from one segmented pass over
+the primes up to isqrt(n), holding O(isqrt(n)) integers at a time.
 
 No numpy at import: the functions that need it import it themselves.
 """
@@ -15,24 +17,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, log
 from numbers import Integral
-from typing import Iterable
+from typing import Iterable, Iterator
 
 # Elements per leaf of reciprocal_sum; bounds a leaf's unreduced denominator.
 _LEAF = 64
 
 __all__ = [
-    "FactorSieve",
-    "reciprocal_sum",
-    "harmonic",
-    "lcm_range",
-    "max_prime_power_factor",
-    "is_powersmooth",
-    "powersmooth_count",
-    "max_prime_power_table",
-    "prime_powers_in",
-    "smooth_density_linear",
-    "primes_upto",
-    "verify_representation",
+    "FactorSieve", "reciprocal_sum", "harmonic", "lcm_range", "max_prime_power_factor",
+    "is_powersmooth", "powersmooth_count", "max_prime_power_table", "prime_powers_in",
+    "smooth_density_linear", "primes_upto", "verify_representation",
 ]
 
 
@@ -96,9 +89,7 @@ def harmonic(n: int) -> Fraction:
 
 def primes_upto(n: int) -> list[int]:
     """All primes <= n, read from the smallest-prime-factor sieve."""
-    if n < 2:
-        return []
-    return FactorSieve(n).primes()
+    return FactorSieve(n).primes() if n >= 2 else []
 
 
 def lcm_range(n: int) -> int:
@@ -153,14 +144,11 @@ class FactorSieve:
         """Maximal prime-power divisors p**a of m, ascending by prime."""
         return [p**a for p, a in self.factor(m)]
 
-    def prime_array(self) -> np.ndarray:
-        """The primes up to `limit`, ascending, as a numpy integer array."""
+    def primes(self) -> list[int]:
+        """The primes up to `limit`, ascending: the m with spf[m] == m."""
         import numpy as np
         idx = np.arange(2, self.limit + 1, dtype=self.spf.dtype)
-        return np.flatnonzero(self.spf[2:] == idx) + 2
-
-    def primes(self) -> list[int]:
-        return self.prime_array().tolist()
+        return (np.flatnonzero(self.spf[2:] == idx) + 2).tolist()
 
 
 def _trial_division_parts(m: int) -> list[int]:
@@ -196,42 +184,57 @@ def is_powersmooth(m: int, t: int, sieve: FactorSieve | None = None) -> bool:
     return max_prime_power_factor(m, sieve) <= t
 
 
-def max_prime_power_table(n: int) -> np.ndarray:
-    """Array a with a[m] = max_prime_power_factor(m) for 0 <= m <= n (a[0] = 0).
+def _segment_length(n: int) -> int:
+    """Integers per segment of _max_prime_power_segments: O(isqrt(n)) memory."""
+    return max(2**16, 32 * isqrt(n))
 
-    For each prime p <= isqrt(n), every multiple of p, p**2, ... <= n is
-    marked with that power under a running maximum; the marks of one prime
-    arrive in increasing order. A prime p > isqrt(n) divides m = k*p <= n
-    once, and k < p bounds every prime power of k, so a[k*p] = p: these are
-    set one cofactor k at a time.
+
+def _max_prime_power_segments(n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (lo, best), best[i] = max_prime_power_factor(lo + i) as float64, over [1, n].
+
+    Segment [lo, hi) takes each power p**a < hi of a prime p <= isqrt(n) in
+    ascending order: its multiples get best = p**a, so the largest write
+    lasts, and their isqrt(n)-smooth part multiplied by p. The cofactor
+    m / smooth part, exact as all three are integers below 2**53, is 1 or
+    one prime above isqrt(n) (two would exceed n), and joins best by max.
+    best is a reused buffer: the next segment overwrites it.
     """
     import numpy as np
+    roots = primes_upto(isqrt(n))
+    powers = sorted((p**a, p) for p in roots for a in range(1, n.bit_length()) if p**a <= n)
+    length = min(n, _segment_length(n))
+    bests, smooths, ms = np.empty(length), np.empty(length), np.arange(1.0, length + 1)
+    for lo in range(1, n + 1, length):
+        size = min(length, n + 1 - lo)
+        best, smooth, m = bests[:size], smooths[:size], ms[:size]
+        best[:] = smooth[:] = 1
+        for pk, p in powers:
+            if pk >= lo + size:
+                break
+            start = -lo % pk
+            best[start::pk] = pk
+            smooth[start::pk] *= p
+        np.divide(m, smooth, out=smooth)
+        yield lo, np.maximum(best, smooth, out=best)
+        ms += length
+
+
+def max_prime_power_table(n: int) -> np.ndarray:
+    """Array a with a[m] = max_prime_power_factor(m) for 0 <= m <= n (a[0] = 0)."""
+    import numpy as np
     n = _check_positive_int(n, "n")
-    # before the table, so the sieve is freed first
-    primes = FactorSieve(n).prime_array() if n >= 2 else np.zeros(0, dtype=np.int64)
-    table = np.ones(n + 1, dtype=np.int64)
-    table[0] = 0
-    root = isqrt(n)
-    small = int(np.searchsorted(primes, root, side="right"))
-    for p in primes[:small].tolist():
-        pk = p
-        while pk <= n:
-            block = table[pk::pk]
-            np.maximum(block, pk, out=block)
-            pk *= p
-    large = primes[small:]
-    for k in range(1, n // (root + 1) + 1):
-        cut = large[: np.searchsorted(large, n // k, side="right")]
-        table[k * cut] = cut
+    table = np.zeros(n + 1, dtype=np.int64)
+    for lo, best in _max_prime_power_segments(n):
+        table[lo : lo + len(best)] = best
     return table
 
 
 def powersmooth_count(n: int, t: int) -> int:
-    """How many m in [1, n] are t-powersmooth."""
+    """How many m in [1, n] are t-powersmooth, one segment at a time."""
     n = _check_positive_int(n, "n")
     t = _check_positive_int(t, "t")
     import numpy as np
-    return int(np.count_nonzero(max_prime_power_table(n)[1:] <= t))
+    return sum(int(np.count_nonzero(best <= t)) for _, best in _max_prime_power_segments(n))
 
 
 def prime_powers_in(lo: int, hi: int) -> list[tuple[int, int]]:

@@ -333,6 +333,25 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_sieve_peak_memory_stays_within_64_mib():
+    # the max-prime-power pass holds O(isqrt(n)) integers a segment; a
+    # whole-range table at n = 1e7 peaked near 119 MiB
+    code = (
+        "import sys\n"
+        "from egyfrac.cli import run\n"
+        "code = run()\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(line for line in status if line.startswith('VmHWM:')), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = run_python(code, "sieve", "--n", "10000000", "--t", "3000")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["count"] == "3261198"
+    peak_kib = int(proc.stderr.split()[-2])
+    assert peak_kib < 64 * 1024, peak_kib
+
+
 def test_cli_import_loads_no_numpy():
     # layers.py reads the importtime lines of egyfrac.entropy and
     # egyfrac.exactmath, so a fresh import must still load both

@@ -356,6 +356,28 @@ def test_sorted_sums_agree_across_dtypes():
         assert exact.tolist() == want
 
 
+def test_sorted_sums_drop_sums_above_the_goal():
+    rng = random.Random(67)
+    for _ in range(40):
+        groups = [
+            [rng.randrange(0, 10**rng.choice((2, 6, 15))) for _ in range(rng.choice((1, 1, 2, 3)))]
+            for _ in range(rng.randint(0, 8))
+        ]
+        every = sorted(sum(pick) for pick in product(*([0] + options for options in groups)))
+        goal = max(0, rng.choice(every) + rng.randint(-1, 1))
+        want = [s for s in every if s <= goal]
+        for dtype in (np.int64, object):
+            assert _sorted_sums(groups, dtype, goal).tolist() == want
+
+
+def test_atmost_kept_half_lists_only_the_sums_within_the_goal():
+    # at x = 1 the kept half of n = 44 atmost is [1, 22]: its listed sums are
+    # the subsets of [1, 22] with reciprocal sum <= 1, not all 2**22 of them
+    scale = lcm(*range(1, 23))
+    listed = _sorted_sums([[scale // m] for m in range(1, 23)], np.int64, scale)
+    assert len(listed) == count_brute(CountQuery(22, Fraction(1), MODE_AT_MOST)).count == 418373
+
+
 def test_mitm_atmost_counts_pinned():
     # checked against the Python-list join these replaced; lcm(1..43) is
     # past 2**63, so n = 43 holds exact Python ints
@@ -390,7 +412,7 @@ def test_mitm_admits_by_the_kept_half(monkeypatch):
     class Listed(Exception):
         pass
 
-    def listing(groups, dtype):
+    def listing(groups, dtype, goal=None):
         raise Listed
 
     monkeypatch.setattr(counting, "_sorted_sums", listing)

@@ -1,8 +1,8 @@
 """Exact arithmetic and sieve tests.
 
 Cross-checks pair independent implementations: the merged reciprocal sum
-vs an lcm-scaled integer sum and a Fraction fold, the running-max prime-power table vs
-per-element factorization, and the numpy smallest-prime-factor sieve vs
+vs an lcm-scaled integer sum and a Fraction fold, the segmented prime-power table vs
+per-element factorization and a whole-range running maximum, and the numpy smallest-prime-factor sieve vs
 plain trial division and a bytearray sieve of Eratosthenes.
 """
 
@@ -13,6 +13,7 @@ from math import gcd, isqrt, lcm, log
 import numpy as np
 import pytest
 
+from egyfrac import exactmath
 from egyfrac.exactmath import (
     FactorSieve,
     harmonic,
@@ -207,6 +208,55 @@ def test_max_prime_power_table_at_small_and_square_limits():
     for n in limits:
         want = [0] + [max_prime_power_factor(m) for m in range(1, n + 1)]
         assert max_prime_power_table(n).tolist() == want
+
+
+def test_max_prime_power_segments_match_pointwise_for_every_n(monkeypatch):
+    # about seven segments per call, so every n moves the segment boundaries
+    # and the short last segment
+    monkeypatch.setattr(exactmath, "_segment_length", lambda n: 1 + n // 7)
+    want = [0] + [max_prime_power_factor(m) for m in range(1, 2001)]
+    for n in range(1, 2001):
+        assert max_prime_power_table(n).tolist() == want[: n + 1], n
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 64])
+def test_max_prime_power_segments_of_fixed_length(length, monkeypatch):
+    monkeypatch.setattr(exactmath, "_segment_length", lambda n: length)
+    want = [0] + [max_prime_power_factor(m) for m in range(1, 1001)]
+    assert max_prime_power_table(1000).tolist() == want
+    for t in (1, 7, 32, 1000):
+        assert powersmooth_count(1000, t) == sum(1 for v in want[1:] if v <= t)
+
+
+def whole_range_table(n):
+    # every prime power p**a <= n marks its multiples under a running maximum
+    table = np.ones(n + 1, dtype=np.int64)
+    table[0] = 0
+    for p in primes_upto(n):
+        pk = p
+        while pk <= n:
+            np.maximum(table[pk::pk], pk, out=table[pk::pk])
+            pk *= p
+    return table
+
+
+@pytest.mark.parametrize("n", [65535, 65536, 65537, 131072, 131073])
+def test_max_prime_power_table_at_segment_boundaries(n):
+    # 2**16-long segments from 1: n = 65536 and 131072 end a segment, and one
+    # more integer starts a new one
+    assert exactmath._segment_length(n) == 2**16
+    table = max_prime_power_table(n)
+    assert np.array_equal(table, whole_range_table(n))
+    sieve = FactorSieve(n)
+    for edge in range(1, n + 2, 2**16):
+        for m in range(max(1, edge - 3), min(n, edge + 3) + 1):
+            assert int(table[m]) == max_prime_power_factor(m, sieve)
+
+
+def test_powersmooth_count_pinned_values():
+    # checked by trial division when first pinned
+    assert powersmooth_count(10**6, 1000) == 334421
+    assert powersmooth_count(10**7, 3000) == 3261198
 
 
 def test_is_powersmooth_examples():
