@@ -1,9 +1,10 @@
 """Exact arithmetic and sieve tests.
 
 Cross-checks pair independent implementations: the merged reciprocal sum
-vs an lcm-scaled integer sum and a Fraction fold, the segmented prime-power table vs
-per-element factorization and a whole-range running maximum, and the numpy smallest-prime-factor sieve vs
-plain trial division and a bytearray sieve of Eratosthenes.
+vs an lcm-scaled integer sum and a Fraction fold, the segmented prime-power
+table vs per-element factorization and a whole-range running maximum, and
+the numpy smallest-prime-factor sieve vs plain trial division and a
+bytearray sieve of Eratosthenes.
 """
 
 import random
@@ -254,7 +255,8 @@ def test_max_prime_power_table_at_segment_boundaries(n):
 
 
 def test_powersmooth_count_pinned_values():
-    # checked by trial division when first pinned
+    # the first is the benchmark's value, checked there by trial division;
+    # both equal the whole-range table that the segmented pass replaced
     assert powersmooth_count(10**6, 1000) == 334421
     assert powersmooth_count(10**7, 3000) == 3261198
 
