@@ -30,9 +30,10 @@ reservoir never appears in stage 1 or 2, and stage 2 consults the used-set
 before taking any multiple.
 
 build_config's tables (reservoir, universe, pools and the inverses of
-their members, base profile) depend on (n, x, L) only; they are cached for
-the latest (n, x, L) and shared, never mutated, by the configs of every
-seed, so a run over consecutive seeds builds them once.
+their members, base profile, and the universe's members, reciprocals and
+draw thresholds as read-only arrays) depend on (n, x, L) only; they are
+cached for the latest (n, x, L) and shared, never mutated, by the configs
+of every seed, so a run over consecutive seeds builds them once.
 
 Five settings are constants of AbsorptionConfig: the held-back mass share
 eta = 1/4, the witness size cap s_max = 12, the alt_limit = 10 witnesses
@@ -63,7 +64,7 @@ from .exactmath import (
     reciprocal_sum,
     verify_representation,
 )
-from .modelsim import _EXACT_BAND, _check_seed, _trial_rng
+from .modelsim import _EXACT_BAND, _check_seed, _draw_mask, _thresholds, _trial_rng
 from .modular import ModInstance, iter_solutions, mod_inverse
 
 __all__ = [
@@ -103,6 +104,11 @@ class AbsorptionConfig:
     # inverses[q][i] is pools[q][i]**-1 mod q.
     inverses: Mapping[int, tuple[int, ...]] = field(repr=False)
     base_profile: EntropyProfile = field(repr=False)
+    # The universe as an int64 array, its reciprocals 1/m, and the word
+    # thresholds of its base-profile probabilities (modelsim._thresholds).
+    members: np.ndarray = field(repr=False)
+    inv: np.ndarray = field(repr=False)
+    lim: np.ndarray = field(repr=False)
     max_attempts: int = 50
     eta: ClassVar[Fraction] = Fraction(1, 4)
     s_max: ClassVar[int] = 12
@@ -200,6 +206,11 @@ def _tables(n: int, x: Fraction, L: int) -> AbsorptionConfig:
 
     target = (1 - AbsorptionConfig.eta) * x
     base_profile = discrete_profile(n, float(target), support=universe)
+    members = np.asarray(universe, dtype=np.int64)
+    inv = 1.0 / members
+    lim = _thresholds(base_profile.p[members - 1])
+    for table in (members, inv, lim):
+        table.flags.writeable = False
 
     return AbsorptionConfig(
         n=n,
@@ -212,6 +223,9 @@ def _tables(n: int, x: Fraction, L: int) -> AbsorptionConfig:
         pools=MappingProxyType(pools),
         inverses=MappingProxyType(inverses),
         base_profile=base_profile,
+        members=members,
+        inv=inv,
+        lim=lim,
     )
 
 
@@ -219,8 +233,11 @@ def sample_base_set(config: AbsorptionConfig, attempt: int = 0) -> tuple[int, ..
     """Draw A0 from the restricted profile until s(A0) <= (1 - eta) * x.
 
     The profile mean equals the target, so roughly half of all draws pass.
-    Each draw is screened by the float64 dot z of its 0/1 mask with 1/m,
-    against band = 1e-9 * max(1, target), modelsim's exact-band rule: z
+    Each mask compares the attempt's Philox words with config.lim, as
+    modelsim draws (equal to Generator.random(size) < p bit for bit), and
+    all of an attempt's draws share one mask buffer. Each draw is screened
+    by the float64 dot z of its 0/1 mask with 1/m, against
+    band = 1e-9 * max(1, target), modelsim's exact-band rule: z
     above the target by more than the band rejects the draw, z below it by
     more accepts it, and only a draw inside the band is summed exactly.
 
@@ -234,18 +251,16 @@ def sample_base_set(config: AbsorptionConfig, attempt: int = 0) -> tuple[int, ..
     4e6, n * u < 4.5e-10: the error stays under half the band.
     """
     target = (1 - config.eta) * config.x
-    members = np.asarray(config.universe, dtype=np.int64)
-    p = config.base_profile.p[members - 1]
-    inv = 1.0 / members
     tf = float(target)
     band = _EXACT_BAND * max(1.0, tf)
     rng = _trial_rng(config.seed, attempt)
+    mask = np.empty(config.members.size, dtype=bool)
     for _ in range(200):
-        mask = rng.random(members.size) < p
-        z = float(np.dot(mask, inv))
+        _draw_mask(rng, config.lim, mask)
+        z = float(np.dot(mask, config.inv))
         if z > tf + band:
             continue
-        a0 = tuple(members[mask].tolist())
+        a0 = tuple(config.members[mask].tolist())
         if z < tf - band or reciprocal_sum(a0) <= target:
             return a0
     raise RuntimeError("base-set sampling failed the mass bound 200 times in a row")

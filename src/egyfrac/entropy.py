@@ -73,14 +73,26 @@ def binary_entropy(p: float) -> float:
     return float(-p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p))
 
 
-def _logistic(t: np.ndarray) -> np.ndarray:
-    """1/(1 + exp(t)) evaluated stably for t >= 0; exactly 0.0 below _P_FLOOR."""
+def _logistic(t: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """1/(1 + exp(t)) evaluated stably for t >= 0; exactly 0.0 below _P_FLOOR.
+
+    Computed in place: t is overwritten with the result and returned, and
+    scratch, a float64 array of t's shape, is overwritten too (one is made
+    when none is given). Each step is one ufunc writing into t or scratch,
+    in the order of the expression exp(-min(t, 700)) = e, e / (1 + e), so
+    every value equals the out-of-place result bit for bit.
+    """
     import numpy as np
+    if scratch is None:
+        scratch = np.empty_like(t)
     # exp(-700) is still a normal float, so neither exp nor the division underflows
-    p = np.exp(-np.minimum(t, 700.0))
-    p /= 1.0 + p
-    p[p < _P_FLOOR] = 0.0
-    return p
+    np.minimum(t, 700.0, out=t)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.add(1.0, t, out=scratch)
+    np.divide(t, scratch, out=t)
+    t[t < _P_FLOOR] = 0.0
+    return t
 
 
 def _entropy_nats(p: np.ndarray) -> np.ndarray:
@@ -127,9 +139,13 @@ def discrete_profile(n: int, x: float, support=None) -> EntropyProfile:
         c = 0.0
         p_members = np.full(members.size, 0.5)
     else:
+        # Every evaluation of the bisection writes into these two buffers.
+        p_try = np.empty_like(members)
+        scratch = np.empty_like(members)
 
         def constraint(c_try: float) -> float:
-            return float(np.dot(_logistic(c_try * n / members), inv))
+            np.divide(c_try * n, members, out=p_try)
+            return float(np.dot(_logistic(p_try, scratch), inv))
 
         hi = 1.0
         for _ in range(200):
@@ -148,7 +164,7 @@ def discrete_profile(n: int, x: float, support=None) -> EntropyProfile:
             else:
                 hi = mid
         c = 0.5 * (lo + hi)
-        p_members = _logistic(c * n / members)
+        p_members = _logistic(c * n / members, scratch)
         residual = abs(float(np.dot(p_members, inv)) - x)
         if residual > 1e-10 * x:
             raise RuntimeError(

@@ -9,6 +9,15 @@ change any outcome. A run of trials re-keys one Philox in place before each
 trial and draws into one reused buffer; each trial's stream is the one a
 fresh Philox keyed (seed, trial) would give.
 
+A mask is drawn from raw Philox words, never from doubles. Generator.random
+turns word w into u = (w >> 11) * 2**-53, and for 0 <= p < 1 the test u < p
+holds exactly when w < ceil(p * 2**53) << 11: with k = w >> 11 an integer,
+k * 2**-53 < p iff k < ceil(p * 2**53), and k < K iff w < K << 11. p * 2**53
+is exact in float64 and its ceiling is at most 2**53, so the threshold fits
+in 64 bits. A run builds its uint64 thresholds once, and one comparison of
+a trial's words with them writes its 0/1 mask; the mask equals that of
+Generator.random(n) < p bit for bit.
+
 `sample_z_values` and `estimate_prob_at_most` read each trial's float64 Z
 from one runner, which may share a long run's trials with one forked
 helper process: trials are cut into contiguous chunks of about 2**16
@@ -134,24 +143,50 @@ def _trial_rng(
     return rng
 
 
+def _thresholds(p: np.ndarray) -> np.ndarray:
+    """The uint64 word thresholds ceil(p * 2**53) << 11 of probabilities p in [0, 1).
+
+    A word w drawn for p includes its index exactly when w < threshold (see
+    the module docstring). A p of 1 or more has no 64-bit threshold, and a
+    NaN or negative p is no probability: either raises ValueError.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    bad = np.flatnonzero(~((p >= 0.0) & (p < 1.0)))
+    if bad.size:
+        raise ValueError(
+            f"inclusion probability p[{bad[0]}] = {float(p[bad[0]])!r} lies outside [0, 1)"
+        )
+    lim = np.ceil(p * 2.0**53).astype(np.uint64)
+    return np.left_shift(lim, np.uint64(11), out=lim)
+
+
+def _draw_mask(rng: np.random.Generator, lim: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = (w < lim) for rng's next lim.size words w, the mask of random(lim.size) < p."""
+    return np.less(rng.bit_generator.random_raw(lim.size), lim, out=out)
+
+
 def _inclusion_masks(
-    profile: EntropyProfile, seed: int, trials: int | Iterable[int]
+    profile: EntropyProfile,
+    seed: int,
+    trials: int | Iterable[int],
+    lim: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """Trial t's inclusion mask, u < p with u drawn by key (seed, t), for each t in trials.
 
-    An int `trials` stands for range(trials). The mask is float64, 1.0 where
-    m is included and 0.0 elsewhere, so it dots with float weights without a
-    cast. Every trial re-keys one Philox and overwrites one buffer: the array
-    yielded for trial t is overwritten by the next trial, so a caller that
-    keeps it must copy it.
+    An int `trials` stands for range(trials). lim is _thresholds(profile.p),
+    built here unless the caller passes the array it already holds. The
+    mask is float64, 1.0 where m is included and 0.0 elsewhere, so it dots
+    with float weights without a cast. Every trial re-keys one Philox and
+    overwrites one buffer: the array yielded for trial t is overwritten by
+    the next trial, so a caller that keeps it must copy it.
     """
+    if lim is None:
+        lim = _thresholds(profile.p)
     rng = None
     u = np.empty(profile.n, dtype=np.float64)
     for t in range(trials) if isinstance(trials, int) else trials:
         rng = _trial_rng(seed, t, rng)
-        rng.random(out=u)
-        np.less(u, profile.p, out=u)
-        yield u
+        yield _draw_mask(rng, lim, u)
 
 
 def _may_fork(draws: int, chunks: int) -> bool:
@@ -200,17 +235,23 @@ def _serve(pipe: BinaryIO, inherited: BinaryIO, chunks: Iterator[bytes]) -> NoRe
     os._exit(0)
 
 
-def _trial_z(profile: EntropyProfile, seed: int, trials: int) -> Iterator[float]:
+def _trial_z(
+    profile: EntropyProfile, seed: int, trials: int, lim: np.ndarray | None = None
+) -> Iterator[float]:
     """Z = dot(mask, 1/m) of trials 0..trials-1 in order, the odd chunks drawn by a forked helper.
 
-    The helper is forked at the first next() when _may_fork allows it, and
-    sends each of its trials' Z as a native float64. The caller draws its
-    own chunks lazily, one trial per next(); each process keeps one Philox
-    and one mask buffer for all its chunks. If the pipe or fork fails, the
-    caller draws every chunk. Closing the generator closes the pipe, kills
-    the helper if it is still running and reaps it. A helper that ends
-    before writing its chunk raises RuntimeError with its exit status.
+    lim is _thresholds(profile.p), built here unless the caller passes it.
+    The helper is forked at the first next() when _may_fork allows it,
+    inherits lim, and sends each of its trials' Z as a native float64. The
+    caller draws its own chunks lazily, one trial per next(); each process
+    keeps one Philox and one mask buffer for all its chunks. If the pipe or
+    fork fails, the caller draws every chunk. Closing the generator closes
+    the pipe, kills the helper if it is still running and reaps it. A
+    helper that ends before writing its chunk raises RuntimeError with its
+    exit status.
     """
+    if lim is None:
+        lim = _thresholds(profile.p)
     size = max(1, _CHUNK_DRAWS // profile.n)
     n_chunks = -(-trials // size)
     inv = 1.0 / np.arange(1, profile.n + 1, dtype=np.float64)
@@ -220,7 +261,8 @@ def _trial_z(profile: EntropyProfile, seed: int, trials: int) -> Iterator[float]
 
     def z_values(chunks: range) -> Iterator[float]:
         mine = (t for c in chunks for t in chunk(c))
-        return (float(np.dot(mask, inv)) for mask in _inclusion_masks(profile, seed, mine))
+        masks = _inclusion_masks(profile, seed, mine, lim)
+        return (float(np.dot(mask, inv)) for mask in masks)
 
     def helper_bytes() -> Iterator[bytes]:
         # A generator, so the helper computes nothing before _serve's try.
@@ -305,7 +347,9 @@ def estimate_prob_at_most(
     Each trial's Z comes from _trial_z, which may share a long run's trials
     with one forked helper; this process judges every trial, in trial
     order, and draws an in-band trial's mask again to sum it exactly, so
-    the result does not depend on whether a helper ran. Only this process
+    the result does not depend on whether a helper ran. The run's word
+    thresholds are built once, before any draw (a p outside [0, 1) raises
+    ValueError there), and both draws of a trial compare with them. Only this process
     reads the clock, once before counting each trial: past a deadline
     (time.monotonic value) no further trial is counted, the result's
     `trials` says how many were, and a ValueError is raised when none was.
@@ -316,10 +360,11 @@ def estimate_prob_at_most(
     x = Fraction(x)
     xf = float(x)
     band = _EXACT_BAND * max(1.0, abs(xf))
+    lim = _thresholds(profile.p)
     hits = fallbacks = ran = 0
     # Each next() draws trial `ran` again, re-keying one Philox, not building one.
-    redraw = _inclusion_masks(profile, seed, iter(lambda: ran, -1))
-    with closing(_trial_z(profile, seed, trials)) as stream:
+    redraw = _inclusion_masks(profile, seed, iter(lambda: ran, -1), lim)
+    with closing(_trial_z(profile, seed, trials, lim)) as stream:
         while ran < trials:
             if deadline is not None and time.monotonic() > deadline:
                 break

@@ -29,6 +29,7 @@ from egyfrac.absorption import (
     verify_representation,
 )
 from egyfrac.exactmath import max_prime_power_factor, reciprocal_sum
+from egyfrac.modelsim import _thresholds
 
 
 @pytest.fixture(scope="module")
@@ -341,6 +342,17 @@ def test_configs_share_the_tables_of_one_n_x_l():
     assert a.base_profile is b.base_profile
     with pytest.raises(TypeError):
         a.pools[5] = ()
+
+
+def test_configs_share_read_only_draw_tables():
+    a = build_config(400, Fraction(1), seed=1)
+    b = build_config(400, Fraction(1), seed=2)
+    assert a.members is b.members and a.inv is b.inv and a.lim is b.lim
+    assert a.members.tolist() == list(a.universe)
+    assert np.array_equal(a.inv, 1.0 / a.members)
+    assert np.array_equal(a.lim, _thresholds(a.base_profile.p[a.members - 1]))
+    for table in (a.members, a.inv, a.lim):
+        assert not table.flags.writeable
 
 
 def exact_only_base_set(config, attempt):

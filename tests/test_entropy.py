@@ -279,6 +279,64 @@ def test_cx_defined_across_the_bracket():
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
+def unfused_logistic(t):
+    """_logistic as one out-of-place expression, every step a new array."""
+    p = np.exp(-np.minimum(t, 700.0))
+    p /= 1.0 + p
+    p[p < 1e-260] = 0.0
+    return p
+
+
+def unfused_profile(n, x, support=None):
+    """(c, p, H) of discrete_profile's bisection, each evaluation run by unfused_logistic."""
+    members = np.arange(1, n + 1, dtype=np.float64)
+    if support is not None:
+        members = np.asarray(sorted(set(support)), dtype=np.float64)
+    inv = 1.0 / members
+    if x >= 0.5 * float(inv.sum()):
+        c, p_members = 0.0, np.full(members.size, 0.5)
+    else:
+        hi = 1.0
+        while float(np.dot(unfused_logistic(hi * n / members), inv)) >= x:
+            hi *= 2.0
+        lo = 0.0
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if float(np.dot(unfused_logistic(mid * n / members), inv)) > x:
+                lo = mid
+            else:
+                hi = mid
+        c = 0.5 * (lo + hi)
+        p_members = unfused_logistic(c * n / members)
+    p = np.zeros(n)
+    p[members.astype(np.int64) - 1] = p_members
+    nats = -p_members * np.log(np.where(p_members > 0.0, p_members, 1.0))
+    nats -= (1.0 - p_members) * np.log1p(-p_members)
+    return c, p, float(nats.sum() / math.log(2))
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000, 100000])
+@pytest.mark.parametrize("x", [0.3, 1.0, 2.0])
+def test_profile_is_bit_equal_to_the_unfused_solve(n, x):
+    # the solve runs _logistic in place in two reused buffers; every value
+    # must match the out-of-place chain, or c moves
+    prof = discrete_profile(n, x)
+    c, p, H = unfused_profile(n, x)
+    assert (prof.c, prof.H) == (c, H)
+    assert prof.p.tobytes() == p.tobytes()
+
+
+def test_restricted_profile_is_bit_equal_to_the_unfused_solve():
+    support = [m for m in range(1, 5001) if m % 12]
+    prof = discrete_profile(5000, 0.75, support=support)
+    c, p, H = unfused_profile(5000, 0.75, support)
+    assert c > 0.0
+    assert (prof.c, prof.H) == (c, H)
+    assert prof.p.tobytes() == p.tobytes()
+
+
 def test_profile_entropy_with_underflowed_entries():
     # c*n/m exceeds 745 at m = 1, where exp(-c*n/m) underflows
     n, x = 1000, 0.25

@@ -3,7 +3,10 @@
 Closed-form moments are checked against an exhaustive enumeration of the
 subset law on tiny fabricated profiles, then against empirical Monte Carlo
 at moderate size. Reproducibility tests pin the counter-based keying: one
-trial, one key, regardless of batching. Worker tests fake the usable CPU
+trial, one key, regardless of batching. Masks come from raw Philox words
+and integer thresholds; the threshold test checks them word by word
+against the u = (w >> 11) * 2**-53 that Generator.random computes, and the
+mask tests against Generator.random itself. Worker tests fake the usable CPU
 set and, but for one, lower the fork threshold, so forked helpers run on
 any host even for short runs; they check that every helper is reaped
 however the estimate ends.
@@ -17,6 +20,8 @@ from itertools import count, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egyfrac.cli import run
 from egyfrac.entropy import EntropyProfile, discrete_profile
@@ -24,6 +29,7 @@ from egyfrac.modelsim import (
     _FORK_DRAWS,
     ModelSample,
     _inclusion_masks,
+    _thresholds,
     _trial_rng,
     _trial_z,
     estimate_prob_at_most,
@@ -216,10 +222,72 @@ def test_trial_rng_rekey_forgets_the_previous_stream():
     assert np.array_equal(again.random(7), fresh.random(7))
 
 
+# The edges of [0, 1): the smallest subnormal, the probability floor of
+# egyfrac.entropy, the least nonzero double random() returns, 1/2 and the
+# doubles just below 1/2 and 1.
+EDGE_PROBABILITIES = [
+    0.0,
+    5e-324,
+    1e-260,
+    2.0**-53,
+    0.5,
+    float(np.nextafter(0.5, 0.0)),
+    float(np.nextafter(1.0, 0.0)),
+]
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(
+    w=st.integers(0, 2**64 - 1),
+    p=st.sampled_from(EDGE_PROBABILITIES) | st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_word_threshold_decides_exactly_what_random_decides(w, p):
+    # Generator.random maps word w to (w >> 11) * 2**-53; a random w seldom
+    # lands near the threshold, so the words around it are tried as well
+    lim = int(_thresholds(np.array([p]))[0])
+    assert lim < 2**64
+    for word in (w, lim - 2049, lim - 2048, lim - 1, lim, lim + 2047, lim + 2048):
+        if 0 <= word < 2**64:
+            assert ((word >> 11) * 2.0**-53 < p) == (word < lim)
+
+
+def test_inclusion_masks_match_random_at_the_edge_probabilities():
+    p = np.resize(EDGE_PROBABILITIES, 4001)
+    prof = tiny_profile(p)
+    for t, mask in enumerate(_inclusion_masks(prof, 9, 3)):
+        key = np.array([9, t], dtype=np.uint64)
+        oracle = np.random.Generator(np.random.Philox(key=key)).random(p.size) < p
+        assert np.array_equal(mask, oracle)
+
+
+@pytest.mark.parametrize("bad", [1.0, 1.5, np.inf, np.nan, -0.25])
+def test_probability_outside_the_unit_interval_is_refused_before_any_draw(monkeypatch, bad):
+    rekeys = []
+    monkeypatch.setattr("egyfrac.modelsim._trial_rng", lambda *args: rekeys.append(args))
+    prof = tiny_profile([0.5, bad, 0.25])
+    runs = (
+        lambda: estimate_prob_at_most(prof, Fraction(1), 10, seed=0),
+        lambda: sample_z_values(prof, 10, seed=0),
+        lambda: sample_model(prof, seed=0),
+    )
+    for run_once in runs:
+        with pytest.raises(ValueError, match=r"p\[1\] = .* lies outside \[0, 1\)"):
+            run_once()
+    assert rekeys == []
+
+
 def test_estimate_is_pinned_at_n1001_seed7():
     est = estimate_prob_at_most(discrete_profile(1001, 1.0), 1, 3000, seed=7)
     assert est.estimate == 1550 / 3000
     assert est.trials == 3000
+
+
+def test_estimate_is_pinned_at_n100000_seed7():
+    # the value the float-draw sampler gave; with two CPUs a helper draws
+    # every other trial
+    est = estimate_prob_at_most(discrete_profile(100000, 1.0), 1, 200, seed=7)
+    assert est.estimate == 99 / 200
+    assert est.trials == 200
 
 
 def test_deadline_cut_keeps_the_first_trials(monkeypatch):
