@@ -38,7 +38,8 @@ from .exactmath import _frac_str, powersmooth_count, smooth_density_linear, veri
 # Loaded on first use, so each command loads only the modules it calls. Handlers
 # call these as attributes of this module (_cli.name), which setattr may replace.
 _LAZY = {
-    "count_brute": "counting", "count_mitm": "counting", "CountQuery": "counting",
+    "count_brute": "counting", "count_mitm": "counting", "count_dp": "counting",
+    "CountQuery": "counting",
     "model_moments": "modelsim", "estimate_prob_at_most": "modelsim", "_check_seed": "modelsim",
     "make_instance": "modular", "residue_coverage": "modular",
     "construct_representation": "absorption", "trace_to_dict": "absorption",
@@ -101,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--x", type=parse_rational, required=True)
     p.add_argument("--mode", choices=("exact", "atmost"), default="exact")
-    p.add_argument("--method", choices=("auto", "brute", "mitm"), default="auto")
+    p.add_argument("--method", choices=("auto", "brute", "mitm", "dp"), default="auto")
     common(p)
 
     p = sub.add_parser("entropy", help="discrete max-entropy profile")
@@ -157,8 +158,8 @@ def _cmd_count(args) -> dict:
     query = _cli.CountQuery(n=args.n, x=args.x, mode=args.mode)
     method = args.method
     if method == "auto":
-        method = "brute" if args.n <= 20 else "mitm"
-    result = _cli.count_brute(query) if method == "brute" else _cli.count_mitm(query)
+        method = "brute" if args.n <= 20 else "dp" if args.mode == "exact" else "mitm"
+    result = getattr(_cli, f"count_{method}")(query)
     return {
         "n": args.n,
         "x": _frac_str(args.x),

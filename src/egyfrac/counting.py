@@ -1,10 +1,10 @@
 """Exact counting of reciprocal-sum representations inside [1, n].
 
-Two independent routes are kept deliberately separate so they can serve as
-oracles for each other:
+Three independent routes are kept deliberately separate so they can serve
+as oracles for each other:
 
 * count_brute walks the subset tree with reciprocals scaled by
-  lcm(1..n) * den(x) to integers, and
+  lcm(1..n) * den(x) to integers,
 * count_mitm scales everything to integers and meets in the middle over
   integer subset sums. In mode "exact" it first eliminates top-prime-power
   blocks: the multiples of a top power p**k <= n of a prime p can only be
@@ -14,9 +14,14 @@ oracles for each other:
   the middle over all of [1, n]. Both modes share one numpy kernel: the
   smaller half's sums are built sorted in one preallocated array, and the
   other half is streamed in blocks, never stored, each block a
-  searchsorted count against the kept half.
+  searchsorted count against the kept half, and
+* count_dp (mode "exact" only) eliminates the elements grouped by their
+  largest prime factor, largest prime first, carrying a map from each
+  remaining target to its multiplicity. It takes its factors from
+  exactmath's trial division and calls neither of the other two routes nor
+  _block_groups.
 
-Both count subsets A of {1..n} with sum of 1/a equal to x (mode "exact") or
+They count subsets A of {1..n} with sum of 1/a equal to x (mode "exact") or
 at most x (mode "atmost", boundary ties included).
 
 reciprocal_subsets lists the subsets whose reciprocals sum exactly to x; it
@@ -27,12 +32,14 @@ a whole 2**k block once the tail fits) would make the shared walk branch on
 which caller it serves.
 
 No numpy at import: only the count_mitm kernel needs it, and imports it.
+count_dp is pure Python and never loads it.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, product
@@ -40,7 +47,7 @@ from math import lcm
 from operator import mul
 from typing import Iterator, Sequence
 
-from .exactmath import primes_upto, reciprocal_sum
+from .exactmath import _trial_division_parts, primes_upto, reciprocal_sum
 from .modular import iter_solutions, make_instance
 
 MODE_EXACT = "exact"
@@ -48,6 +55,7 @@ MODE_AT_MOST = "atmost"
 
 BRUTE_CAP = 25
 MITM_CAP = 48
+DP_CAP = 200
 ENUM_CAP = 40
 # Bytes: count_mitm refuses a query whose arrays are estimated above this.
 MITM_MEMORY_CAP = 512 * 2**20
@@ -55,9 +63,9 @@ MITM_MEMORY_CAP = 512 * 2**20
 _BLOCK_SUMS = 2**16
 
 __all__ = [
-    "MODE_EXACT", "MODE_AT_MOST", "BRUTE_CAP", "MITM_CAP", "ENUM_CAP", "MITM_MEMORY_CAP",
-    "CountQuery", "CountResult", "count_brute", "count_mitm", "enumerate_representations",
-    "reciprocal_subsets",
+    "MODE_EXACT", "MODE_AT_MOST", "BRUTE_CAP", "MITM_CAP", "DP_CAP", "ENUM_CAP", "MITM_MEMORY_CAP",
+    "CountQuery", "CountResult", "count_brute", "count_mitm", "count_dp",
+    "enumerate_representations", "reciprocal_subsets",
 ]
 
 
@@ -294,6 +302,107 @@ def count_mitm(query: CountQuery, cap: int = MITM_CAP) -> CountResult:
             found -= np.searchsorted(kept_sums, keys, "left")
         count += int(found.sum())
     return CountResult(query, count, "mitm", time.perf_counter() - start)
+
+
+def _largest_prime_groups(n: int) -> dict[int, list[int]]:
+    """G_p = {2 <= m <= n : the largest prime factor of m is p}, keyed by p, ascending.
+
+    _trial_division_parts lists m's maximal prime powers ascending by prime,
+    so its last part is a power of m's largest prime. The primes are met in
+    ascending order, each before its higher powers, so each one's powers up
+    to n are mapped back to it when the prime itself is met.
+    """
+    base: dict[int, int] = {}
+    groups: dict[int, list[int]] = {}
+    for m in range(2, n + 1):
+        top = _trial_division_parts(m)[-1]
+        if top == m and m not in base:
+            q = m
+            while q <= n:
+                base[q] = m
+                q *= m
+        groups.setdefault(base[top], []).append(m)
+    return groups
+
+
+def count_dp(query: CountQuery, cap: int = DP_CAP) -> CountResult:
+    """Exact count by eliminating the elements grouped by largest prime factor.
+
+    Pure Python: numpy is never imported. With G_p the elements of [2, n]
+    whose largest prime factor is p, the state is a map from each remaining
+    target r to the number of ways of reaching it, starting at {x: 1}. The
+    primes are taken in descending order, and group p subtracts each subset
+    sum s of G_p from each state. Every element left after G_p is
+    (p-1)-smooth, so r - s is kept only when v_p(r - s) >= 0 and
+    0 <= r - s <= R_p, the reciprocal mass of the groups still to come plus
+    1 for the element 1. The count is the multiplicity of 0 plus that of 1.
+
+    All of it is integer arithmetic over one common denominator D. Every
+    subset sum has a denominator dividing lcm(1..n), so a target whose
+    denominator does not divide it has no representation. Otherwise D starts
+    at lcm(1..n), and at group p it is the product of the top powers
+    q**k <= n of the primes q <= p; p's top power p**e lies in G_p, so
+    D = lcm(G_p) * K with K prime to p. A state is its numerator N = r * D,
+    and an element m of G_p weighs the integer D // m. The condition
+    v_p(r - s) >= 0 is then N ≡ w (mod p**e) for a subset sum w: G_p's sums,
+    listed with their multiplicities and only up to the largest N, are
+    bucketed by w mod p**e in ascending order, and a state meets only its own
+    bucket, within [N - R_p * D, N]. Each kept N - w is divisible by p**e,
+    and p leaves D for good: the next state is (N - w) // p**e over
+    D // p**e. After G_2, D is 1.
+    """
+    if query.n > cap:
+        raise ValueError(
+            f"count_dp refuses n={query.n}: cap is {cap} (state maps grow with n); "
+            f"pass cap explicitly to override"
+        )
+    if query.mode != MODE_EXACT:
+        raise ValueError(
+            f"count_dp counts mode {MODE_EXACT!r} only: v_p(r - s) >= 0 needs an exact target"
+        )
+    start = time.perf_counter()
+    n, x = query.n, query.x
+    den = lcm(*range(1, n + 1))
+    if den % x.denominator:
+        return CountResult(query, 0, "dp", time.perf_counter() - start)
+    states = {x.numerator * (den // x.denominator): 1}
+    groups = _largest_prime_groups(n)
+    # The elements of the groups still to come, the largest prime's last.
+    below = [m for group in groups.values() for m in group]
+    for p in reversed(groups):
+        group = groups[p]
+        del below[-len(group) :]
+        pe = p
+        while pe * p <= n:
+            pe *= p
+        bound = den + sum(den // m for m in below)
+        top = max(states)
+        sums = {0: 1}
+        for m in group:
+            w = den // m
+            for s, c in list(sums.items()):
+                if s + w <= top:
+                    sums[s + w] = sums.get(s + w, 0) + c
+        buckets: dict[int, tuple[list[int], list[int]]] = {}
+        for w in sorted(sums):
+            ws, cs = buckets.setdefault(w % pe, ([], []))
+            ws.append(w)
+            cs.append(sums[w])
+        nxt: dict[int, int] = {}
+        for num, mult in states.items():
+            bucket = buckets.get(num % pe)
+            if bucket is None:
+                continue
+            ws, cs = bucket
+            for i in range(bisect_left(ws, num - bound), bisect_right(ws, num)):
+                key = (num - ws[i]) // pe
+                nxt[key] = nxt.get(key, 0) + mult * cs[i]
+        states = nxt
+        den //= pe
+        if not states:
+            break
+    count = states.get(0, 0) + states.get(1, 0)
+    return CountResult(query, count, "dp", time.perf_counter() - start)
 
 
 def reciprocal_subsets(

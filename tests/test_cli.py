@@ -79,6 +79,29 @@ def test_count_methods_agree(capsys):
     assert mitm["method"] == "mitm"
 
 
+def test_count_auto_takes_dp_for_exact_counts_past_brute(capsys):
+    # n = 60 is past MITM_CAP, so meet in the middle would refuse it
+    record = record_of(capsys, ["count", "--n", "60", "--x", "1/1"])
+    assert record["method"] == "dp"
+    assert record["count"] == "176018"
+    argv = ["count", "--n", "42", "--x", "1/1"]
+    auto = record_of(capsys, argv)
+    mitm = record_of(capsys, argv + ["--method", "mitm"])
+    assert (auto["method"], mitm["method"]) == ("dp", "mitm")
+    assert auto["count"] == mitm["count"] == "3054"
+    atmost = record_of(capsys, ["count", "--n", "22", "--x", "1/1", "--mode", "atmost"])
+    assert atmost["method"] == "mitm"
+
+
+def test_count_dp_refuses_mode_atmost(capsys):
+    argv = ["count", "--n", "30", "--x", "1/1", "--mode", "atmost", "--method", "dp"]
+    code, out, err = invoke(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: count_dp counts mode 'exact' only")
+    assert err.count("\n") == 1
+
+
 def test_verify_record(capsys):
     record = record_of(capsys, ["verify", "--n", "6", "--x", "1/1", "--set", "2,3,6"])
     assert record["verified"] is True
@@ -372,6 +395,7 @@ def test_cli_import_loads_no_numpy():
         ["verify", "--n", "6", "--x", "1/1", "--set", "2,3,6"],
         ["modcover", "--q", "101", "--lo", "11", "--hi", "21", "--smax", "6"],
         ["count", "--n", "6", "--x", "1/1"],
+        ["count", "--n", "42", "--x", "1/1"],
     ],
 )
 def test_commands_run_without_numpy(capsys, argv):

@@ -5,17 +5,22 @@ The ground truth here is a third, completely naive route: materialize all
 counters must agree with it and with each other.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import egyfrac
 from egyfrac import counting
 from egyfrac.counting import (
     MODE_AT_MOST,
@@ -23,8 +28,10 @@ from egyfrac.counting import (
     CountQuery,
     CountResult,
     _block_groups,
+    _largest_prime_groups,
     _sorted_sums,
     count_brute,
+    count_dp,
     count_mitm,
     enumerate_representations,
     reciprocal_subsets,
@@ -146,6 +153,8 @@ def test_caps_refuse_oversized_inputs():
         count_mitm(CountQuery(60, Fraction(1), MODE_EXACT))
     with pytest.raises(ValueError, match="cap"):
         count_brute(CountQuery(10, Fraction(1), MODE_EXACT), cap=5)
+    with pytest.raises(ValueError, match="cap"):
+        count_dp(CountQuery(201, Fraction(1), MODE_EXACT))
     # explicit override unlocks larger n
     assert count_mitm(big, cap=26).count == count_brute(big, cap=26).count
 
@@ -158,6 +167,7 @@ def test_result_carries_query_and_method():
     assert res.method == "brute"
     assert res.elapsed >= 0.0
     assert count_mitm(query).method == "mitm"
+    assert count_dp(query).method == "dp"
 
 
 def test_enumerate_known_representations():
@@ -256,9 +266,12 @@ def _top_powers(n):
 
 @pytest.mark.parametrize("n", range(1, 25))
 def test_mitm_block_elimination_matches_brute(n):
+    # count_dp is held to the same oracle on the same queries
     for x in BLOCK_TARGETS:
         query = CountQuery(n, x, MODE_EXACT)
-        assert count_mitm(query).count == count_brute(query).count
+        want = count_brute(query).count
+        assert count_mitm(query).count == want
+        assert count_dp(query).count == want
 
 
 @pytest.mark.parametrize("n", range(25, 35))
@@ -279,6 +292,91 @@ def test_mitm_block_elimination_matches_lcm_mitm(n):
         if scaled.denominator == 1:
             want = sum(right[scaled.numerator - s] for s in left)
         assert count_mitm(CountQuery(n, x, MODE_EXACT)).count == want
+
+
+def test_dp_matches_block_mitm():
+    # past MITM_CAP from n = 49 on; every query here stays within the
+    # memory estimate
+    for n in range(25, 61):
+        for x in BLOCK_TARGETS:
+            query = CountQuery(n, x, MODE_EXACT)
+            assert count_dp(query).count == count_mitm(query, cap=60).count, (n, x)
+
+
+# count(100, x) over this grid took block count_mitm (cap lifted to 100)
+# 3.8-11.7 s a value; count_dp must give the same values.
+DP_GRID_100 = {
+    Fraction(1, 4): 167714,
+    Fraction(1, 3): 1964852,
+    Fraction(1, 2): 71822787,
+    Fraction(2, 3): 812619011,
+    Fraction(5, 6): 4243935797,
+    Fraction(7, 12): 271394539,
+    Fraction(1): 13015102928,
+    Fraction(13, 12): 19671423261,
+    Fraction(11, 10): 21158609840,
+    Fraction(3, 2): 60589072457,
+    Fraction(2): 77028355789,
+    Fraction(3): 64159774539,
+}
+
+
+def test_dp_counts_pinned():
+    # believed to be OEIS A092670 at x = 1; the n = 120 value equals that of
+    # two earlier independent programs
+    for x, want in DP_GRID_100.items():
+        assert count_dp(CountQuery(100, x, MODE_EXACT)).count == want, x
+    assert count_dp(CountQuery(120, Fraction(1), MODE_EXACT)).count == 7410315551253
+
+
+@pytest.mark.parametrize("x", [Fraction(1), Fraction(3, 2)])
+def test_dp_counts_equal_at_complementary_targets(x):
+    # the states for H_n - x mirror those for x, so this is no independent
+    # route, but it runs the bucket key on a large p-adic denominator
+    want = count_dp(CountQuery(60, x, MODE_EXACT)).count
+    assert count_dp(CountQuery(60, harmonic(60) - x, MODE_EXACT)).count == want
+
+
+def test_dp_calls_no_other_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("count_dp must stay independent of the other routes")
+
+    for name in ("_block_groups", "count_brute", "count_mitm"):
+        monkeypatch.setattr(counting, name, refuse)
+    assert count_dp(CountQuery(60, Fraction(1), MODE_EXACT)).count == 176018
+
+
+def test_dp_refuses_mode_atmost():
+    with pytest.raises(ValueError, match="exact"):
+        count_dp(CountQuery(10, Fraction(1), MODE_AT_MOST))
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 64, 97, 200])
+def test_largest_prime_groups_partition_by_largest_prime_factor(n):
+    def largest_prime(m):
+        return max(p for p in range(2, m + 1) if m % p == 0 and all(p % d for d in range(2, p)))
+
+    groups = _largest_prime_groups(n)
+    assert list(groups) == sorted(groups)
+    assert sorted(m for group in groups.values() for m in group) == list(range(2, n + 1))
+    for p, group in groups.items():
+        assert group == sorted(group) and all(largest_prime(m) == p for m in group)
+
+
+def test_dp_runs_without_numpy():
+    # a None entry in sys.modules makes any "import numpy" fail
+    probe = (
+        'import sys; sys.modules["numpy"] = None; '
+        "from fractions import Fraction; "
+        "from egyfrac.counting import CountQuery, count_dp; "
+        'print(count_dp(CountQuery(60, Fraction(1), "exact")).count)'
+    )
+    env = dict(os.environ)
+    src = str(Path(egyfrac.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["176018"]
 
 
 def test_mitm_exact_counts_pinned():
