@@ -158,7 +158,7 @@ def _cmd_count(args) -> dict:
     query = _cli.CountQuery(n=args.n, x=args.x, mode=args.mode)
     method = args.method
     if method == "auto":
-        method = "brute" if args.n <= 20 else "dp" if args.mode == "exact" else "mitm"
+        method = "dp" if args.mode == "exact" else "brute" if args.n <= 20 else "mitm"
     result = getattr(_cli, f"count_{method}")(query)
     return {
         "n": args.n,

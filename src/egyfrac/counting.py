@@ -325,7 +325,7 @@ def _largest_prime_groups(n: int) -> dict[int, list[int]]:
     return groups
 
 
-def count_dp(query: CountQuery, cap: int = DP_CAP) -> CountResult:
+def count_dp(query: CountQuery) -> CountResult:
     """Exact count by eliminating the elements grouped by largest prime factor.
 
     Pure Python: numpy is never imported. With G_p the elements of [2, n]
@@ -351,11 +351,8 @@ def count_dp(query: CountQuery, cap: int = DP_CAP) -> CountResult:
     and p leaves D for good: the next state is (N - w) // p**e over
     D // p**e. After G_2, D is 1.
     """
-    if query.n > cap:
-        raise ValueError(
-            f"count_dp refuses n={query.n}: cap is {cap} (state maps grow with n); "
-            f"pass cap explicitly to override"
-        )
+    if query.n > DP_CAP:
+        raise ValueError(f"count_dp refuses n={query.n}: cap is {DP_CAP} (state maps grow with n)")
     if query.mode != MODE_EXACT:
         raise ValueError(
             f"count_dp counts mode {MODE_EXACT!r} only: v_p(r - s) >= 0 needs an exact target"

@@ -61,7 +61,7 @@ def test_parse_rational():
 def test_count_record(capsys):
     record = record_of(capsys, ["count", "--n", "6", "--x", "1/1", "--mode", "exact"])
     assert record["count"] == "2"
-    assert record["method"] == "brute"
+    assert record["method"] == "dp"
     assert record["mode"] == "exact"
     assert record["parameters"]["n"] == 6
     assert record["version"]
@@ -79,7 +79,7 @@ def test_count_methods_agree(capsys):
     assert mitm["method"] == "mitm"
 
 
-def test_count_auto_takes_dp_for_exact_counts_past_brute(capsys):
+def test_count_auto_takes_dp_for_exact_counts(capsys):
     # n = 60 is past MITM_CAP, so meet in the middle would refuse it
     record = record_of(capsys, ["count", "--n", "60", "--x", "1/1"])
     assert record["method"] == "dp"
