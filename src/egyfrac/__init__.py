@@ -26,7 +26,10 @@ _EXPORTS = {
         "powersmooth_count", "prime_powers_in", "reciprocal_sum", "smooth_density_linear",
         "verify_representation",
     ),
-    "counting": ("CountQuery", "CountResult", "count_brute", "count_mitm", "enumerate_representations"),
+    "counting": (
+        "CountQuery", "CountResult", "count_brute", "count_dp", "count_mitm",
+        "enumerate_representations",
+    ),
     "entropy": (
         "ContinuousConstants", "EntropyProfile", "binary_entropy", "continuous_lambda",
         "cx_constant", "discrete_profile", "entropy_upper_bound",

@@ -8,17 +8,18 @@ as oracles for each other:
 * count_mitm scales everything to integers and meets in the middle over
   integer subset sums. In mode "exact" it first eliminates top-prime-power
   blocks: the multiples of a top power p**k <= n of a prime p can only be
-  used as a block whose reciprocals sum to 0 mod p (taken from
-  egyfrac.modular), so it meets in the middle over those blocks and the
-  remaining single elements. Mode "atmost" has no such lemma and meets in
-  the middle over all of [1, n]. Both modes share one numpy kernel: the
-  smaller half's sums are built sorted in one preallocated array, and the
-  other half is streamed in blocks, never stored, each block a
-  searchsorted count against the kept half, and
+  used as a block whose reciprocals sum to 0 mod p (listed by
+  egyfrac.modular, which only _block_groups loads), so it meets in the
+  middle over those blocks and the remaining single elements. Mode
+  "atmost" has no such lemma and meets in the middle over all of [1, n].
+  Both modes share one numpy kernel: the smaller half's sums are built
+  sorted in one preallocated array, and the other half is streamed in
+  blocks, never stored, each block a searchsorted count against the kept
+  half, and
 * count_dp (mode "exact" only) eliminates the elements grouped by their
   largest prime factor, largest prime first, carrying a map from each
-  remaining target to its multiplicity. It takes its factors from
-  exactmath's trial division and calls neither of the other two routes nor
+  remaining target to its multiplicity. A largest-prime-factor sieve over
+  [0, n] gives its groups, and it calls neither of the other two routes nor
   _block_groups.
 
 They count subsets A of {1..n} with sum of 1/a equal to x (mode "exact") or
@@ -31,8 +32,8 @@ count_mitm it must stay independent, and its mode "atmost" shortcut (count
 a whole 2**k block once the tail fits) would make the shared walk branch on
 which caller it serves.
 
-No numpy at import: only the count_mitm kernel needs it, and imports it.
-count_dp is pure Python and never loads it.
+No numpy or egyfrac.modular at import: only count_mitm needs them, and
+imports them. count_dp is pure Python and loads neither.
 """
 
 from __future__ import annotations
@@ -47,13 +48,14 @@ from math import lcm
 from operator import mul
 from typing import Iterator, Sequence
 
-from .exactmath import _trial_division_parts, primes_upto, reciprocal_sum
-from .modular import iter_solutions, make_instance
+from .exactmath import primes_upto, reciprocal_sum
 
 MODE_EXACT = "exact"
 MODE_AT_MOST = "atmost"
 
 BRUTE_CAP = 25
+# count_mitm lists about 2**(n//q)/p blocks of a top power q = p**k before
+# its memory estimate runs; this cap, not the estimate, bounds that listing.
 MITM_CAP = 48
 DP_CAP = 200
 ENUM_CAP = 40
@@ -93,7 +95,7 @@ class CountResult:
     elapsed: float
 
 
-def count_brute(query: CountQuery, cap: int = BRUTE_CAP) -> CountResult:
+def count_brute(query: CountQuery) -> CountResult:
     """Count by exhaustive traversal of the subset tree with exact sums.
 
     Every reciprocal is scaled by L = lcm(1..n) * den(x), so 1/m becomes
@@ -103,11 +105,8 @@ def count_brute(query: CountQuery, cap: int = BRUTE_CAP) -> CountResult:
     add), and in mode "atmost" a branch whose partial sum plus the whole
     remaining tail stays within x contributes a full 2**k block.
     """
-    if query.n > cap:
-        raise ValueError(
-            f"count_brute refuses n={query.n}: cap is {cap} (2**n subsets); "
-            f"pass cap explicitly to override"
-        )
+    if query.n > BRUTE_CAP:
+        raise ValueError(f"count_brute refuses n={query.n}: cap is {BRUTE_CAP} (2**n subsets)")
     start = time.perf_counter()
     n, x, mode = query.n, query.x, query.mode
     base = lcm(*range(1, n + 1))
@@ -150,6 +149,7 @@ def _block_groups(n: int, den: int) -> list[list[tuple[int, ...]]]:
     group. Groups appear in the order of their smallest elements, and a
     group with no admissible non-empty block is left out.
     """
+    from .modular import iter_solutions, make_instance
     blocks: dict[int, list[tuple[int, ...]]] = {}
     grouped: set[int] = set()
     for p in primes_upto(n):
@@ -170,23 +170,22 @@ def _block_groups(n: int, den: int) -> list[list[tuple[int, ...]]]:
     return [group for group in groups if group]
 
 
-def _sorted_sums(groups: list[list[int]], dtype, goal: int | None = None) -> np.ndarray:
+def _sorted_sums(groups: list[list[int]], dtype, goal: int) -> np.ndarray:
     """Every sum up to goal taking at most one option weight from each group, ascending.
 
     The empty option (weight 0) is implicit, so a singleton group [w] is the
     plain include-or-skip step of a subset-sum list. Weights are >= 0, so a
     sum above goal stays above it: option w adds only the listed sums up to
-    goal - w (all when goal is None), a prefix. The array is resized in place
-    (no view of it is alive) to append them, so it holds len(group) + 1
-    ascending runs, which a stable sort (a timsort for int64 and object
-    arrays) merges run by run; on object arrays a full sort is several times
-    slower.
+    goal - w, a prefix. The array is resized in place (no view of it is
+    alive) to append them, so it holds len(group) + 1 ascending runs, which
+    a stable sort (a timsort for int64 and object arrays) merges run by run;
+    on object arrays a full sort is several times slower.
     """
     import numpy as np
     sums = np.zeros(1, dtype=dtype)
     for options in groups:
         k = len(sums)
-        cuts = [k if goal is None else int(np.searchsorted(sums, goal - w, "right")) for w in options]
+        cuts = [int(np.searchsorted(sums, goal - w, "right")) for w in options]
         sums.resize(k + sum(cuts), refcheck=False)
         for w, cut in zip(options, cuts):
             np.add(sums[:cut], w, out=sums[k : k + cut])
@@ -195,7 +194,7 @@ def _sorted_sums(groups: list[list[int]], dtype, goal: int | None = None) -> np.
     return sums
 
 
-def count_mitm(query: CountQuery, cap: int = MITM_CAP) -> CountResult:
+def count_mitm(query: CountQuery) -> CountResult:
     """Meet-in-the-middle count over reciprocals scaled to integers.
 
     Mode "exact" first eliminates top-prime-power blocks. Let p be a prime
@@ -244,11 +243,8 @@ def count_mitm(query: CountQuery, cap: int = MITM_CAP) -> CountResult:
     size rounded up to the allocator's 16-byte blocks. docs/schemas.md gives
     the admitted range and measured peaks.
     """
-    if query.n > cap:
-        raise ValueError(
-            f"count_mitm refuses n={query.n}: cap is {cap} (2**(n/2) half sums); "
-            f"pass cap explicitly to override"
-        )
+    if query.n > MITM_CAP:
+        raise ValueError(f"count_mitm refuses n={query.n}: cap is {MITM_CAP} (2**(n/2) half sums)")
     import numpy as np
     start = time.perf_counter()
     n, x, mode = query.n, query.x, query.mode
@@ -307,21 +303,17 @@ def count_mitm(query: CountQuery, cap: int = MITM_CAP) -> CountResult:
 def _largest_prime_groups(n: int) -> dict[int, list[int]]:
     """G_p = {2 <= m <= n : the largest prime factor of m is p}, keyed by p, ascending.
 
-    _trial_division_parts lists m's maximal prime powers ascending by prime,
-    so its last part is a power of m's largest prime. The primes are met in
-    ascending order, each before its higher powers, so each one's powers up
-    to n are mapped back to it when the prime itself is met.
+    A sieve: top[m] starts at m, and each prime p, met in ascending order
+    (top[p] == p, as no smaller prime wrote to it), writes p to its
+    multiples, so the last write to top[m] is m's largest prime factor.
     """
-    base: dict[int, int] = {}
+    top = list(range(n + 1))
+    for p in range(2, n + 1):
+        if top[p] == p:
+            top[p::p] = [p] * (n // p)
     groups: dict[int, list[int]] = {}
     for m in range(2, n + 1):
-        top = _trial_division_parts(m)[-1]
-        if top == m and m not in base:
-            q = m
-            while q <= n:
-                base[q] = m
-                q *= m
-        groups.setdefault(base[top], []).append(m)
+        groups.setdefault(top[m], []).append(m)
     return groups
 
 
@@ -454,9 +446,7 @@ def reciprocal_subsets(
                 yield tuple(chosen)
 
 
-def enumerate_representations(
-    n: int, x: Fraction, limit: int, cap: int = ENUM_CAP
-) -> list[tuple[int, ...]]:
+def enumerate_representations(n: int, x: Fraction, limit: int) -> list[tuple[int, ...]]:
     """Up to `limit` subsets of [1, n] with reciprocal sum exactly x.
 
     Results come out in lexicographic order of the sorted element tuples
@@ -464,8 +454,8 @@ def enumerate_representations(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > cap:
-        raise ValueError(f"enumerate_representations refuses n={n}: cap is {cap}")
+    if n > ENUM_CAP:
+        raise ValueError(f"enumerate_representations refuses n={n}: cap is {ENUM_CAP}")
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     x = Fraction(x)

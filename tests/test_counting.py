@@ -145,18 +145,21 @@ def test_query_validation():
         CountQuery(3, Fraction(1), "approx")
 
 
-def test_caps_refuse_oversized_inputs():
+def test_caps_refuse_oversized_inputs(monkeypatch):
     big = CountQuery(26, Fraction(1, 2), MODE_EXACT)
     with pytest.raises(ValueError, match="cap"):
         count_brute(big)
     with pytest.raises(ValueError, match="cap"):
         count_mitm(CountQuery(60, Fraction(1), MODE_EXACT))
     with pytest.raises(ValueError, match="cap"):
-        count_brute(CountQuery(10, Fraction(1), MODE_EXACT), cap=5)
-    with pytest.raises(ValueError, match="cap"):
         count_dp(CountQuery(201, Fraction(1), MODE_EXACT))
-    # explicit override unlocks larger n
-    assert count_mitm(big, cap=26).count == count_brute(big, cap=26).count
+    monkeypatch.setattr(counting, "BRUTE_CAP", 5)
+    with pytest.raises(ValueError, match="cap"):
+        count_brute(CountQuery(10, Fraction(1), MODE_EXACT))
+    # a raised cap unlocks larger n
+    monkeypatch.setattr(counting, "BRUTE_CAP", 26)
+    monkeypatch.setattr(counting, "MITM_CAP", 26)
+    assert count_mitm(big).count == count_brute(big).count
 
 
 def test_result_carries_query_and_method():
@@ -294,13 +297,24 @@ def test_mitm_block_elimination_matches_lcm_mitm(n):
         assert count_mitm(CountQuery(n, x, MODE_EXACT)).count == want
 
 
-def test_dp_matches_block_mitm():
+def test_dp_matches_block_mitm(monkeypatch):
     # past MITM_CAP from n = 49 on; every query here stays within the
     # memory estimate
+    monkeypatch.setattr(counting, "MITM_CAP", 60)
     for n in range(25, 61):
         for x in BLOCK_TARGETS:
             query = CountQuery(n, x, MODE_EXACT)
-            assert count_dp(query).count == count_mitm(query, cap=60).count, (n, x)
+            assert count_dp(query).count == count_mitm(query).count, (n, x)
+
+
+@pytest.mark.parametrize("n", [70, 80, 90])
+def test_dp_matches_block_mitm_past_60(monkeypatch, n):
+    # the only second route between n = 61 and the n = 100 pins; block
+    # count_mitm took 0.01-0.5 s a query here
+    monkeypatch.setattr(counting, "MITM_CAP", 90)
+    for x in (Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(13, 12)):
+        query = CountQuery(n, x, MODE_EXACT)
+        assert count_dp(query).count == count_mitm(query).count, x
 
 
 # count(100, x) over this grid took block count_mitm (cap lifted to 100)
@@ -363,20 +377,35 @@ def test_largest_prime_groups_partition_by_largest_prime_factor(n):
         assert group == sorted(group) and all(largest_prime(m) == p for m in group)
 
 
+def _fresh_python(probe):
+    env = dict(os.environ)
+    src = str(Path(egyfrac.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+
+
 def test_dp_runs_without_numpy():
     # a None entry in sys.modules makes any "import numpy" fail
     probe = (
         'import sys; sys.modules["numpy"] = None; '
         "from fractions import Fraction; "
         "from egyfrac.counting import CountQuery, count_dp; "
-        'print(count_dp(CountQuery(60, Fraction(1), "exact")).count)'
+        'print(count_dp(CountQuery(60, Fraction(1), "exact")).count); '
+        'assert "egyfrac.modular" not in sys.modules'
     )
-    env = dict(os.environ)
-    src = str(Path(egyfrac.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    proc = _fresh_python(probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["176018"]
+
+
+def test_counting_import_loads_no_other_egyfrac_module():
+    probe = (
+        "import sys, egyfrac.counting; "
+        "print(*sorted(m for m in sys.modules if m.startswith('egyfrac')))"
+    )
+    proc = _fresh_python(probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["egyfrac", "egyfrac.counting", "egyfrac.exactmath"]
 
 
 def test_mitm_exact_counts_pinned():
@@ -447,8 +476,10 @@ def test_sorted_sums_agree_across_dtypes():
             for _ in range(rng.randint(0, 8))
         ]
         want = sorted(sum(pick) for pick in product(*([0] + options for options in groups)))
-        fixed = _sorted_sums(groups, np.int64)
-        exact = _sorted_sums(groups, object)
+        # a goal of at least every sum keeps them all
+        goal = sum(max(options) for options in groups)
+        fixed = _sorted_sums(groups, np.int64, goal)
+        exact = _sorted_sums(groups, object, goal)
         assert fixed.dtype == np.int64 and exact.dtype == object
         assert fixed.tolist() == want
         assert exact.tolist() == want
