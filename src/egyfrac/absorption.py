@@ -29,16 +29,18 @@ Element disjointness across stages is enforced by a shared used-set: the
 reservoir never appears in stage 1 or 2, and stage 2 consults the used-set
 before taking any multiple.
 
-build_config's tables (reservoir, universe, pools and the inverses of
-their members, base profile, and the universe's members, reciprocals and
-draw thresholds as read-only arrays) depend on (n, x, L) only; they are
-cached for the latest (n, x, L) and shared, never mutated, by the configs
-of every seed, so a run over consecutive seeds builds them once.
+The reservoir is the multiples of K in [1, n], tested as m % K == 0.
+build_config's tables (the pools and the inverses of their members, and
+the universe's members, reciprocals and draw thresholds as read-only
+arrays) depend on (n, x, L) only; they are cached for the latest (n, x, L)
+and shared, never mutated, by the configs of every seed, so a run over
+consecutive seeds builds them once.
 
-Five settings are constants of AbsorptionConfig: the held-back mass share
+Six settings are constants of AbsorptionConfig: the held-back mass share
 eta = 1/4, the witness size cap s_max = 12, the alt_limit = 10 witnesses
 tried per step, pool_margin = 24, which bounds the universe's prime powers
-by n // pool_margin, and the reservoir search's node_budget = 2,000,000.
+by n // pool_margin, the reservoir search's node_budget = 2,000,000, and
+the max_attempts = 50 attempts a seed makes before it reports failure.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from typing import ClassVar, Iterable, Mapping
 import numpy as np
 
 from .counting import reciprocal_subsets
-from .entropy import EntropyProfile, discrete_profile
+from .entropy import discrete_profile
 from .exactmath import (
     _frac_str,
     lcm_range,
@@ -98,18 +100,16 @@ class AbsorptionConfig:
     L: int
     K: int
     seed: int
-    reservoir: frozenset[int]
-    universe: tuple[int, ...]
     pools: Mapping[int, tuple[int, ...]] = field(repr=False)
     # inverses[q][i] is pools[q][i]**-1 mod q.
     inverses: Mapping[int, tuple[int, ...]] = field(repr=False)
-    base_profile: EntropyProfile = field(repr=False)
-    # The universe as an int64 array, its reciprocals 1/m, and the word
-    # thresholds of its base-profile probabilities (modelsim._thresholds).
+    # The sampling universe as an ascending int64 array, its reciprocals
+    # 1/m, and the word thresholds of its base-profile probabilities
+    # (modelsim._thresholds).
     members: np.ndarray = field(repr=False)
     inv: np.ndarray = field(repr=False)
     lim: np.ndarray = field(repr=False)
-    max_attempts: int = 50
+    max_attempts: ClassVar[int] = 50
     eta: ClassVar[Fraction] = Fraction(1, 4)
     s_max: ClassVar[int] = 12
     alt_limit: ClassVar[int] = 10
@@ -142,28 +142,28 @@ class AbsorptionTrace:
     reason: str | None = None
 
 
-def build_config(
-    n: int, x, L: int = 4, seed: int = 0, max_attempts: int = 50
-) -> AbsorptionConfig:
-    """Precompute the reservoir, sampling universe and per-prime-power pools.
+def build_config(n: int, x, L: int = 4, seed: int = 0) -> AbsorptionConfig:
+    """Precompute the sampling universe and the per-prime-power pools.
 
-    Only seed and max_attempts are set per call (a seed outside [0, 2**64)
-    raises ValueError before any table is built); the rest is cached for the
+    Only the seed is set per call (a seed outside [0, 2**64) raises
+    ValueError before any table is built); the rest is cached for the
     latest (n, x, L) and shared, and the pools are a read-only mapping. The
-    universe keeps only m whose maximal prime powers are at most
-    max(L, n // pool_margin), with pool_margin = 24 a constant of
-    AbsorptionConfig (as are eta = 1/4, s_max = 12 and alt_limit = 10):
-    every prime power the base set can push into the denominator then has
-    at least pool_margin candidate multiples left for the cancellation
-    stage. The pools are keyed by the prime powers in (L, n // 2] in
-    descending order, which the sweep relies on to find the largest prime
-    power of a denominator first. Each pool is ordered by descending
-    cofactor so the witness search proposes the lightest subsets first;
-    otherwise the sweep spends its mass budget on early steps and the small
-    prime powers at the tail cannot be cancelled without going negative.
+    reservoir is the multiples of K = lcm(1..L) in [1, n]. The universe
+    (config.members) keeps the m off the reservoir whose maximal prime
+    powers are at most max(L, n // pool_margin), with pool_margin = 24 a
+    constant of AbsorptionConfig (as are eta = 1/4, s_max = 12,
+    alt_limit = 10 and max_attempts = 50): every prime power the base set
+    can push into the denominator then has at least pool_margin candidate
+    multiples left for the cancellation stage. The pools are keyed by the
+    prime powers in (L, n // 2] in descending order, which the sweep relies
+    on to find the largest prime power of a denominator first. Each pool is
+    ordered by descending cofactor so the witness search proposes the
+    lightest subsets first; otherwise the sweep spends its mass budget on
+    early steps and the small prime powers at the tail cannot be cancelled
+    without going negative.
     """
     seed = _check_seed(seed)  # before any table is built
-    return replace(_tables(n, Fraction(x), L), seed=seed, max_attempts=max_attempts)
+    return replace(_tables(n, Fraction(x), L), seed=seed)
 
 
 @lru_cache(maxsize=1)
@@ -183,32 +183,26 @@ def _tables(n: int, x: Fraction, L: int) -> AbsorptionConfig:
         )
 
     mppf = max_prime_power_table(n)
-    reservoir = frozenset(range(K, n + 1, K))
     t_u = max(L, n // AbsorptionConfig.pool_margin)
-    universe = tuple(
-        m for m in range(1, n + 1) if m not in reservoir and mppf[m] <= t_u
-    )
-    if not universe:
-        raise ValueError("sampling universe is empty; increase n")
+    # Never empty: m = 1 is off the reservoir (K >= 2) and 1-powersmooth.
+    ms = np.arange(1, n + 1, dtype=np.int64)
+    members = ms[(ms % K != 0) & (mppf[1:] <= t_u)]
 
     pools: dict[int, tuple[int, ...]] = {}
     inverses: dict[int, tuple[int, ...]] = {}
-    for _, q in prime_powers_in(2, n // 2):
-        if q <= L:
-            continue
+    for _, q in prime_powers_in(L + 1, n // 2):
         pool = tuple(
             b
             for b in range(n // q, 0, -1)
-            if gcd(b, q) == 1 and (q * b) not in reservoir and mppf[b] < q
+            if gcd(b, q) == 1 and (q * b) % K and mppf[b] < q
         )
         pools[q] = pool
         inverses[q] = tuple(pow(b, -1, q) for b in pool)
 
     target = (1 - AbsorptionConfig.eta) * x
-    base_profile = discrete_profile(n, float(target), support=universe)
-    members = np.asarray(universe, dtype=np.int64)
+    p = discrete_profile(n, float(target), support=members).p
     inv = 1.0 / members
-    lim = _thresholds(base_profile.p[members - 1])
+    lim = _thresholds(p[members - 1])
     for table in (members, inv, lim):
         table.flags.writeable = False
 
@@ -218,11 +212,8 @@ def _tables(n: int, x: Fraction, L: int) -> AbsorptionConfig:
         L=L,
         K=K,
         seed=0,
-        reservoir=reservoir,
-        universe=universe,
         pools=MappingProxyType(pools),
         inverses=MappingProxyType(inverses),
-        base_profile=base_profile,
         members=members,
         inv=inv,
         lim=lim,
@@ -363,17 +354,16 @@ def construct_representation(
     x,
     L: int = 4,
     seed: int = 0,
-    max_attempts: int = 50,
     deadline: float | None = None,
 ) -> AbsorptionTrace:
     """Run the full pipeline; resample the base set on failure.
 
-    Returns a successful trace (verified end to end) or, after max_attempts
-    failures, a failure trace whose reason names the last obstacle. A
-    deadline (time.monotonic value) stops further attempts and reports a
-    truncated failure.
+    Returns a successful trace (verified end to end) or, after
+    AbsorptionConfig.max_attempts = 50 failures, a failure trace whose
+    reason names the last obstacle. A deadline (time.monotonic value) stops
+    further attempts and reports a truncated failure.
     """
-    config = build_config(n, x, L=L, seed=seed, max_attempts=max_attempts)
+    config = build_config(n, x, L=L, seed=seed)
     return construct_from_config(config, deadline=deadline)
 
 

@@ -131,8 +131,6 @@ def count_brute(query: CountQuery) -> CountResult:
                 return 0
             if total == goal:
                 return 1
-        if i == n:
-            return 1 if at_most or s == goal else 0
         return walk(i + 1, s + rec[i]) + walk(i + 1, s)
 
     count = walk(0, 0)

@@ -28,6 +28,8 @@ from egyfrac.absorption import (
     trace_to_dict,
     verify_representation,
 )
+from egyfrac.cli import _to_json
+from egyfrac.entropy import discrete_profile
 from egyfrac.exactmath import max_prime_power_factor, reciprocal_sum
 from egyfrac.modelsim import _thresholds
 
@@ -39,13 +41,12 @@ def config():
 
 def test_config_partition(config):
     assert config.K == 12
-    assert config.reservoir == frozenset(range(12, 121, 12))
-    assert len(config.reservoir) == 10
-    # the universe avoids the reservoir and is moderately powersmooth
+    reservoir = set(range(12, 121, 12))
+    # the universe is exactly the moderately powersmooth m off the reservoir
     t_u = max(config.L, config.n // config.pool_margin)
-    for m in config.universe:
-        assert m not in config.reservoir
-        assert max_prime_power_factor(m) <= t_u
+    assert config.members.tolist() == [
+        m for m in range(1, 121) if m not in reservoir and max_prime_power_factor(m) <= t_u
+    ]
     # pools: descending cofactors, coprime, off-reservoir, strictly smaller
     # prime-power content than q itself
     assert config.inverses.keys() == config.pools.keys()
@@ -55,13 +56,18 @@ def test_config_partition(config):
         for b in pool:
             assert gcd(b, q) == 1
             assert q * b <= config.n
-            assert (q * b) not in config.reservoir
+            assert (q * b) not in reservoir
             assert max_prime_power_factor(b) < q
 
 
 def test_config_small_n_from_contract():
     cfg = build_config(59, Fraction(1))
-    assert cfg.reservoir == frozenset((12, 24, 36, 48))
+    # the reservoir is {12, 24, 36, 48}, the K * d for d in [1, n // K]; the
+    # universe and the pools avoid it
+    reservoir = {12, 24, 36, 48}
+    assert (cfg.K, cfg.n // cfg.K) == (12, 4)
+    assert not reservoir & set(cfg.members.tolist())
+    assert not reservoir & {q * b for q, pool in cfg.pools.items() for b in pool}
 
 
 def test_config_validation():
@@ -81,7 +87,7 @@ def test_base_set_sampling(config):
     a0 = sample_base_set(config, attempt=0)
     assert a0 == sample_base_set(config, attempt=0)
     assert a0 != sample_base_set(config, attempt=1)
-    assert set(a0) <= set(config.universe)
+    assert set(a0) <= set(config.members.tolist())
     assert reciprocal_sum(a0) <= (1 - config.eta) * config.x
 
 
@@ -264,6 +270,13 @@ def test_construct_is_deterministic_per_seed():
     assert a.elements != c.elements
 
 
+# sha256 of each pinned construction's trace as cli._to_json writes it
+_TRACE_DIGESTS = {
+    Fraction(1): "c9a58f7a6d0d110c9e281add7db68b78afef831e3a704272c3d5c8850fcf34b7",
+    Fraction(3, 4): "5b032a6c7e6d40cf2af5d8ca72b904e1b94ef8016cff5dca6d090f76559ecfd7",
+}
+
+
 @pytest.mark.parametrize(
     "x,attempt,size,digest",
     [
@@ -273,12 +286,15 @@ def test_construct_is_deterministic_per_seed():
 )
 def test_construct_elements_pinned(x, attempt, size, digest):
     # any change to the sampling, the sweep order or the reservoir search
-    # changes the elements of these seeded constructions
+    # changes the elements of these seeded constructions; the trace digest
+    # also covers the base set, the steps, x_f and D
     trace = construct_representation(5000, x, seed=1)
     assert trace.success
     assert (trace.attempt, len(trace.elements)) == (attempt, size)
     elements = ",".join(map(str, sorted(trace.elements)))
     assert hashlib.sha256(elements.encode()).hexdigest() == digest
+    written = _to_json(trace_to_dict(trace))
+    assert hashlib.sha256(written.encode()).hexdigest() == _TRACE_DIGESTS[x]
 
 
 def test_construct_with_coarser_reservoir():
@@ -288,13 +304,10 @@ def test_construct_with_coarser_reservoir():
 
 
 def test_construct_failure_paths():
-    trace = construct_representation(120, Fraction(1), seed=0, max_attempts=0)
-    assert isinstance(trace, AbsorptionTrace)
-    assert not trace.success
-    assert trace.elements == ()
-    assert trace.reason == "no attempts made"
     stale = construct_representation(120, Fraction(1), seed=0, deadline=time.monotonic() - 1)
+    assert isinstance(stale, AbsorptionTrace)
     assert not stale.success
+    assert stale.elements == ()
     assert "budget" in stale.reason
 
 
@@ -338,8 +351,9 @@ def test_configs_share_the_tables_of_one_n_x_l():
     b = build_config(400, Fraction(1), seed=2)
     assert (a.seed, b.seed) == (1, 2)
     assert a.pools is b.pools
-    assert a.universe is b.universe
-    assert a.base_profile is b.base_profile
+    assert a.inverses is b.inverses
+    assert a.members is b.members
+    assert a.max_attempts == b.max_attempts == 50
     with pytest.raises(TypeError):
         a.pools[5] = ()
 
@@ -348,9 +362,10 @@ def test_configs_share_read_only_draw_tables():
     a = build_config(400, Fraction(1), seed=1)
     b = build_config(400, Fraction(1), seed=2)
     assert a.members is b.members and a.inv is b.inv and a.lim is b.lim
-    assert a.members.tolist() == list(a.universe)
+    assert a.members.dtype == np.int64
     assert np.array_equal(a.inv, 1.0 / a.members)
-    assert np.array_equal(a.lim, _thresholds(a.base_profile.p[a.members - 1]))
+    p = discrete_profile(400, float((1 - a.eta) * a.x), support=a.members).p
+    assert np.array_equal(a.lim, _thresholds(p[a.members - 1]))
     for table in (a.members, a.inv, a.lim):
         assert not table.flags.writeable
 
@@ -358,8 +373,8 @@ def test_configs_share_read_only_draw_tables():
 def exact_only_base_set(config, attempt):
     """sample_base_set with every draw summed exactly, on a Philox built here."""
     target = (1 - config.eta) * config.x
-    members = np.asarray(config.universe, dtype=np.int64)
-    p = config.base_profile.p[members - 1]
+    members = config.members
+    p = discrete_profile(config.n, float(target), support=members).p[members - 1]
     key = np.array([config.seed, attempt], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     for _ in range(200):

@@ -336,11 +336,12 @@ DP_GRID_100 = {
 
 
 def test_dp_counts_pinned():
-    # believed to be OEIS A092670 at x = 1; the n = 120 value equals that of
-    # two earlier independent programs
+    # believed to be OEIS A092670 at x = 1; the n = 120 and n = 150 values
+    # equal those of two earlier independent programs
     for x, want in DP_GRID_100.items():
         assert count_dp(CountQuery(100, x, MODE_EXACT)).count == want, x
     assert count_dp(CountQuery(120, Fraction(1), MODE_EXACT)).count == 7410315551253
+    assert count_dp(CountQuery(150, Fraction(1), MODE_EXACT)).count == 6744889401658942
 
 
 @pytest.mark.parametrize("x", [Fraction(1), Fraction(3, 2)])
