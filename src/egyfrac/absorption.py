@@ -360,8 +360,9 @@ def construct_representation(
 
     Returns a successful trace (verified end to end) or, after
     AbsorptionConfig.max_attempts = 50 failures, a failure trace whose
-    reason names the last obstacle. A deadline (time.monotonic value) stops
-    further attempts and reports a truncated failure.
+    reason names the last obstacle, and whose base set and steps come from
+    the last attempt that drew a base set. A deadline (time.monotonic
+    value) stops further attempts and reports a truncated failure.
     """
     config = build_config(n, x, L=L, seed=seed)
     return construct_from_config(config, deadline=deadline)
@@ -382,6 +383,7 @@ def construct_from_config(
         except RuntimeError as exc:
             reason = str(exc)
             continue
+        steps = ()
         x0 = config.x - reciprocal_sum(base)
         try:
             step_list, x_f = cancel_prime_powers(config, x0, used=base)

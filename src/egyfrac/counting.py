@@ -18,9 +18,9 @@ as oracles for each other:
   half, and
 * count_dp (mode "exact" only) eliminates the elements grouped by their
   largest prime factor, largest prime first, carrying a map from each
-  remaining target to its multiplicity. A largest-prime-factor sieve over
-  [0, n] gives its groups, and it calls neither of the other two routes nor
-  _block_groups.
+  remaining target to its multiplicity. Its primes and their top powers
+  come from exactmath.top_powers, and it calls neither of the other two
+  routes nor _block_groups.
 
 They count subsets A of {1..n} with sum of 1/a equal to x (mode "exact") or
 at most x (mode "atmost", boundary ties included).
@@ -48,7 +48,7 @@ from math import lcm
 from operator import mul
 from typing import Iterator, Sequence
 
-from .exactmath import primes_upto, reciprocal_sum
+from .exactmath import lcm_range, reciprocal_sum, top_powers
 
 MODE_EXACT = "exact"
 MODE_AT_MOST = "atmost"
@@ -150,10 +150,7 @@ def _block_groups(n: int, den: int) -> list[list[tuple[int, ...]]]:
     from .modular import iter_solutions, make_instance
     blocks: dict[int, list[tuple[int, ...]]] = {}
     grouped: set[int] = set()
-    for p in primes_upto(n):
-        q = p
-        while q * p <= n:
-            q *= p
+    for p, q in top_powers(n).items():
         if den % q:
             top = n // q
             found = iter_solutions(make_instance(p, range(1, top + 1), top), 0)
@@ -298,31 +295,15 @@ def count_mitm(query: CountQuery) -> CountResult:
     return CountResult(query, count, "mitm", time.perf_counter() - start)
 
 
-def _largest_prime_groups(n: int) -> dict[int, list[int]]:
-    """G_p = {2 <= m <= n : the largest prime factor of m is p}, keyed by p, ascending.
-
-    A sieve: top[m] starts at m, and each prime p, met in ascending order
-    (top[p] == p, as no smaller prime wrote to it), writes p to its
-    multiples, so the last write to top[m] is m's largest prime factor.
-    """
-    top = list(range(n + 1))
-    for p in range(2, n + 1):
-        if top[p] == p:
-            top[p::p] = [p] * (n // p)
-    groups: dict[int, list[int]] = {}
-    for m in range(2, n + 1):
-        groups.setdefault(top[m], []).append(m)
-    return groups
-
-
 def count_dp(query: CountQuery) -> CountResult:
     """Exact count by eliminating the elements grouped by largest prime factor.
 
     Pure Python: numpy is never imported. With G_p the elements of [2, n]
     whose largest prime factor is p, the state is a map from each remaining
     target r to the number of ways of reaching it, starting at {x: 1}. The
-    primes are taken in descending order, and group p subtracts each subset
-    sum s of G_p from each state. Every element left after G_p is
+    primes are taken in descending order, so G_p is the multiples of p left
+    in [2, n] once the larger primes' groups are gone, and group p subtracts
+    each subset sum s of G_p from each state. Every element left after G_p is
     (p-1)-smooth, so r - s is kept only when v_p(r - s) >= 0 and
     0 <= r - s <= R_p, the reciprocal mass of the groups still to come plus
     1 for the element 1. The count is the multiplicity of 0 plus that of 1.
@@ -349,19 +330,16 @@ def count_dp(query: CountQuery) -> CountResult:
         )
     start = time.perf_counter()
     n, x = query.n, query.x
-    den = lcm(*range(1, n + 1))
+    den = lcm_range(n)
     if den % x.denominator:
         return CountResult(query, 0, "dp", time.perf_counter() - start)
     states = {x.numerator * (den // x.denominator): 1}
-    groups = _largest_prime_groups(n)
-    # The elements of the groups still to come, the largest prime's last.
-    below = [m for group in groups.values() for m in group]
-    for p in reversed(groups):
-        group = groups[p]
-        del below[-len(group) :]
-        pe = p
-        while pe * p <= n:
-            pe *= p
+    # The elements of the groups still to come: the multiples of every
+    # larger prime are gone, so those of p left in below make up G_p.
+    below = list(range(2, n + 1))
+    for p, pe in reversed(top_powers(n).items()):
+        group = [m for m in below if m % p == 0]
+        below = [m for m in below if m % p]
         bound = den + sum(den // m for m in below)
         top = max(states)
         sums = {0: 1}

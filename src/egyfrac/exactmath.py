@@ -1,21 +1,25 @@
-"""Exact rational arithmetic over unit fractions, plus a prime sieve.
+"""Exact rational arithmetic over unit fractions, plus prime sieves.
 
 Everything in this module is integer-exact. Reciprocal sums are held as
 `fractions.Fraction` values so that equality against a target is a true
 equality, never a tolerance check. Every exact sum of unit fractions in the
-package goes through one kernel, `reciprocal_sum`, and every prime list
-comes from one sieve, `FactorSieve`'s smallest-prime-factor table. m is
-t-powersmooth when every maximal prime power p**a dividing m is at most t.
-The table and counts of max prime powers come from one segmented pass over
-the primes up to isqrt(n), holding O(isqrt(n)) integers at a time.
+package goes through one kernel, `reciprocal_sum`. Every prime list comes
+from one pure-Python sieve, `primes_upto`, and every top power p**k <= n
+from one table built on it, `top_powers`; `FactorSieve`'s
+smallest-prime-factor table serves factorization only. m is t-powersmooth
+when every maximal prime power p**a dividing m is at most t. The table and
+counts of max prime powers come from one segmented pass over the primes up
+to isqrt(n), holding O(isqrt(n)) integers at a time.
 
-No numpy at import: the functions that need it import it themselves.
+No numpy at import: the functions that need it import it themselves, and
+primes_upto, top_powers, lcm_range and prime_powers_in never do.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, log
+from itertools import compress
+from math import isqrt, log, prod
 from numbers import Integral
 from typing import Iterable, Iterator
 
@@ -25,7 +29,7 @@ _LEAF = 64
 __all__ = [
     "FactorSieve", "reciprocal_sum", "harmonic", "lcm_range", "max_prime_power_factor",
     "is_powersmooth", "powersmooth_count", "max_prime_power_table", "prime_powers_in",
-    "smooth_density_linear", "primes_upto", "verify_representation",
+    "smooth_density_linear", "primes_upto", "top_powers", "verify_representation",
 ]
 
 
@@ -88,20 +92,32 @@ def harmonic(n: int) -> Fraction:
 
 
 def primes_upto(n: int) -> list[int]:
-    """All primes <= n, read from the smallest-prime-factor sieve."""
-    return FactorSieve(n).primes() if n >= 2 else []
+    """All primes <= n, ascending, from a sieve of Eratosthenes over the odd numbers."""
+    if n < 2:
+        return []
+    odd = bytearray([1]) * ((n + 1) // 2)  # odd[i] flags 2*i + 1
+    odd[0] = 0
+    for i in range(1, (isqrt(n) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(odd), p)))
+    return [2, *compress(range(1, n + 1, 2), odd)]
+
+
+def top_powers(n: int) -> dict[int, int]:
+    """{p: p**k} over the primes p <= n, ascending, p**k the largest power of p <= n."""
+    out = {}
+    for p in primes_upto(n):
+        q = p
+        while q * p <= n:
+            q *= p
+        out[p] = q
+    return out
 
 
 def lcm_range(n: int) -> int:
-    """lcm(1, 2, ..., n): the product of the maximal prime powers <= n."""
-    n = _check_positive_int(n, "n")
-    out = 1
-    for p in primes_upto(n):
-        pk = p
-        while pk * p <= n:
-            pk *= p
-        out *= pk
-    return out
+    """lcm(1, 2, ..., n): the product of the top powers p**k <= n."""
+    return prod(top_powers(_check_positive_int(n, "n")).values())
 
 
 class FactorSieve:
@@ -244,12 +260,10 @@ def prime_powers_in(lo: int, hi: int) -> list[tuple[int, int]]:
     if hi < lo:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
     out = []
-    for p in primes_upto(hi):
-        pk = p
-        while pk <= hi:
-            if pk >= lo:
-                out.append((p, pk))
-            pk *= p
+    for p, q in top_powers(hi).items():
+        while q >= lo:
+            out.append((p, q))
+            q //= p
     out.sort(key=lambda pair: (-pair[1], pair[0]))
     return out
 

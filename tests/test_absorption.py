@@ -311,6 +311,20 @@ def test_construct_failure_paths():
     assert "budget" in stale.reason
 
 
+@pytest.mark.parametrize("n, seed, steps", [(120, 0, 0), (120, 1, 0), (120, 2, 0), (48, 0, 1)])
+def test_failure_trace_steps_replay_from_its_base_set(n, seed, steps):
+    # base_set and steps of a failure trace come from one attempt, so the
+    # remainder after each step follows from the base set and the steps
+    # before; the last attempts at n = 120 fail in the sweep, the one at
+    # n = 48 in the reservoir
+    trace = construct_representation(n, Fraction(7, 5), seed=seed)
+    assert not trace.success and len(trace.steps) == steps
+    rem = trace.x - reciprocal_sum(trace.base_set)
+    for step in trace.steps:
+        rem -= reciprocal_sum(step.elements())
+        assert rem == step.x_after
+
+
 def test_trace_round_trip_and_replay():
     trace = construct_representation(400, Fraction(1), seed=2)
     assert trace.success

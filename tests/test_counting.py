@@ -28,7 +28,6 @@ from egyfrac.counting import (
     CountQuery,
     CountResult,
     _block_groups,
-    _largest_prime_groups,
     _sorted_sums,
     count_brute,
     count_dp,
@@ -364,18 +363,6 @@ def test_dp_calls_no_other_route(monkeypatch):
 def test_dp_refuses_mode_atmost():
     with pytest.raises(ValueError, match="exact"):
         count_dp(CountQuery(10, Fraction(1), MODE_AT_MOST))
-
-
-@pytest.mark.parametrize("n", [1, 2, 12, 64, 97, 200])
-def test_largest_prime_groups_partition_by_largest_prime_factor(n):
-    def largest_prime(m):
-        return max(p for p in range(2, m + 1) if m % p == 0 and all(p % d for d in range(2, p)))
-
-    groups = _largest_prime_groups(n)
-    assert list(groups) == sorted(groups)
-    assert sorted(m for group in groups.values() for m in group) == list(range(2, n + 1))
-    for p, group in groups.items():
-        assert group == sorted(group) and all(largest_prime(m) == p for m in group)
 
 
 def _fresh_python(probe):

@@ -3,17 +3,23 @@
 Cross-checks pair independent implementations: the merged reciprocal sum
 vs an lcm-scaled integer sum and a Fraction fold, the segmented prime-power
 table vs per-element factorization and a whole-range running maximum, and
-the numpy smallest-prime-factor sieve vs plain trial division and a
-bytearray sieve of Eratosthenes.
+the pure-Python odd-number sieve, its top-power table and the numpy
+smallest-prime-factor sieve vs plain trial division and a bytearray sieve
+of Eratosthenes over all numbers.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
-from math import gcd, isqrt, lcm, log
+from math import gcd, isqrt, lcm, log, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import egyfrac
 from egyfrac import exactmath
 from egyfrac.exactmath import (
     FactorSieve,
@@ -27,6 +33,7 @@ from egyfrac.exactmath import (
     primes_upto,
     reciprocal_sum,
     smooth_density_linear,
+    top_powers,
 )
 
 
@@ -115,13 +122,48 @@ def test_primes_upto_matches_trial_division():
     def is_prime(m):
         return m >= 2 and all(m % d for d in range(2, isqrt(m) + 1))
 
-    # 255 and 256 straddle the sieve's switch from 8-bit to 16-bit entries
+    # 255 and 256 straddle FactorSieve's switch from 8-bit to 16-bit
+    # entries; an odd square p*p and its neighbours bound where primes_upto
+    # starts crossing out the multiples of p
+    squares = [m for p in (3, 5, 7, 11, 13, 19) for m in (p * p - 1, p * p, p * p + 1)]
     spread = [5, 9, 10, 48, 49, 97, 100, 121, 255, 256, 257, 1024, 2000, 2003, 3000]
-    for n in list(range(5)) + spread:
+    for n in list(range(5)) + squares + spread:
         want = [m for m in range(n + 1) if is_prime(m)]
         assert primes_upto(n) == want
         if n >= 2:
             assert FactorSieve(n).primes() == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 64, 97, 200])
+def test_top_powers_match_trial_division(n):
+    def is_prime(m):
+        return m >= 2 and all(m % d for d in range(2, isqrt(m) + 1))
+
+    primes = [p for p in range(n + 1) if is_prime(p)]
+    want = {p: max(p**k for k in range(1, n.bit_length()) if p**k <= n) for p in primes}
+    tops = top_powers(n)
+    assert list(tops.items()) == list(want.items())
+    assert prod(tops.values()) == lcm(*range(1, n + 1))
+
+
+def test_number_theory_runs_without_numpy():
+    # a None entry in sys.modules makes any "import numpy" fail
+    src = str(Path(egyfrac.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        'import sys; sys.modules["numpy"] = None; '
+        "from egyfrac.exactmath import lcm_range, prime_powers_in, primes_upto, top_powers; "
+        "print(len(primes_upto(10**6)), lcm_range(30)); "
+        "print(prime_powers_in(2, 10)); print(top_powers(30))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "78498 2329089562800",
+        "[(3, 9), (2, 8), (7, 7), (5, 5), (2, 4), (3, 3), (2, 2)]",
+        "{2: 16, 3: 27, 5: 25, 7: 7, 11: 11, 13: 13, 17: 17, 19: 19, 23: 23, 29: 29}",
+    ]
 
 
 def test_lcm_range_known_values():
