@@ -14,7 +14,10 @@ The continuous side solves the n -> infinity limit: lambda is the root of
 and c_x integrates the binary entropy of the same logistic profile. As
 x grows, c_x increases strictly toward 1.
 
-No numpy at import: the functions that need it import it themselves.
+Only the discrete side loads numpy, and only when first called. The
+continuous side (continuous_lambda, cx_constant) is pure Python: its
+Gauss-Legendre nodes come from Newton's method on P_32, and its integrands
+are scalar forms of the discrete side's logistic and entropy.
 """
 
 from __future__ import annotations
@@ -192,27 +195,60 @@ def entropy_upper_bound(n: int, x) -> float:
 
 
 @cache
-def _gl_rule():
-    """Fixed 32-node Gauss-Legendre rule on [-1, 1] for the continuous integrals."""
-    import numpy as np
-    return np.polynomial.legendre.leggauss(32)
+def _gl_rule() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Fixed 32-node Gauss-Legendre rule on [-1, 1] for the continuous integrals.
+
+    Returns (nodes, weights), nodes ascending. Each root of P_32 is polished
+    by Newton's method from its Chebyshev-like guess, with P_32 and P_31 from
+    the three-term recurrence; its weight is 2/((1-x^2) P_32'(x)^2).
+    """
+    n = 32
+    roots = []
+    for i in range(n):
+        x, step = -math.cos(math.pi * (i + 0.75) / (n + 0.5)), 1.0
+        # the last pass only evaluates P_32' at the converged root
+        while True:
+            p0, p1 = 1.0, x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = n * (x * p1 - p0) / (x * x - 1.0)
+            if abs(step) < 1e-15:
+                break
+            step = p1 / dp
+            x -= step
+        roots.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
+    nodes, weights = zip(*roots)
+    return nodes, weights
 
 
 def _gauss_legendre(f, knots, panels: int = 1, max_width: float = math.inf) -> float:
-    """Integral of a vectorised f over [knots[0], knots[-1]] by the 32-node rule.
+    """Integral of a scalar f over [knots[0], knots[-1]] by the 32-node rule.
 
     Each interval between consecutive knots is cut into equal panels: at
     least `panels` of them, and enough that none is wider than `max_width`.
     """
-    import numpy as np
     edges = [knots[0]]
     for a, b in zip(knots, knots[1:]):
         k = max(panels, math.ceil((b - a) / max_width))
         edges += [a + (b - a) * i / k for i in range(1, k)] + [b]
     nodes, weights = _gl_rule()
-    lo = np.asarray(edges[:-1])[:, None]
-    half = 0.5 * (np.asarray(edges[1:])[:, None] - lo)
-    return float(np.sum(half * weights * f(lo + half * (1.0 + nodes))))
+    terms = []
+    for lo, hi in zip(edges, edges[1:]):
+        half = 0.5 * (hi - lo)
+        terms += [half * w * f(lo + half * (1.0 + t)) for t, w in zip(nodes, weights)]
+    return math.fsum(terms)
+
+
+def _logistic_scalar(t: float) -> float:
+    """_logistic for one float t >= 0, by the same clamp and flush."""
+    e = math.exp(-min(t, 700.0))
+    p = e / (1.0 + e)
+    return p if p >= _P_FLOOR else 0.0
+
+
+def _entropy_nats_scalar(p: float) -> float:
+    """_entropy_nats for one float p in [0, 1]."""
+    return -p * math.log(p if p > 0.0 else 1.0) - (1.0 - p) * math.log1p(-p)
 
 
 def _lambda_integral(lam: float) -> float:
@@ -224,7 +260,6 @@ def _lambda_integral(lam: float) -> float:
     most 2 wide and break at the logistic transition s = log(1/lam) and one
     and two decades past it.
     """
-    import numpy as np
     upper = 2.0
     while math.exp(-lam * upper) / (lam * upper) > 1e-14:
         upper *= 2.0
@@ -232,7 +267,7 @@ def _lambda_integral(lam: float) -> float:
             break
     breaks = [math.log(b) for b in (1.0 / lam, 10.0 / lam, 100.0 / lam) if 1.0 < b < upper]
     knots = [0.0, *breaks, math.log(upper)]
-    return _gauss_legendre(lambda s: _logistic(lam * np.exp(s)), knots, max_width=2.0)
+    return _gauss_legendre(lambda s: _logistic_scalar(lam * math.exp(s)), knots, max_width=2.0)
 
 
 def continuous_lambda(x: float, with_residual: bool = False) -> float | tuple[float, float]:
@@ -273,7 +308,7 @@ def cx_constant(x: float) -> ContinuousConstants:
     # Decade breakpoints from 0.1*lam up to 1 (lam >= 1e-12 needs k <= 12).
     breaks = [b for b in (lam * 10.0**k for k in range(-1, 13)) if b < 1.0]
     nats = _gauss_legendre(
-        lambda y: _entropy_nats(_logistic(lam / y)), [0.0, *breaks, 1.0], panels=4
+        lambda y: _entropy_nats_scalar(_logistic_scalar(lam / y)), [0.0, *breaks, 1.0], panels=4
     )
     c_x = nats / math.log(2)
     if not 0.0 < c_x < 1.0:

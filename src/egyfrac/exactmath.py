@@ -160,12 +160,6 @@ class FactorSieve:
         """Maximal prime-power divisors p**a of m, ascending by prime."""
         return [p**a for p, a in self.factor(m)]
 
-    def primes(self) -> list[int]:
-        """The primes up to `limit`, ascending: the m with spf[m] == m."""
-        import numpy as np
-        idx = np.arange(2, self.limit + 1, dtype=self.spf.dtype)
-        return (np.flatnonzero(self.spf[2:] == idx) + 2).tolist()
-
 
 def _trial_division_parts(m: int) -> list[int]:
     parts = []

@@ -6,17 +6,29 @@ first-order optimality (exchange) argument, and against the continuous
 limit at large n.
 """
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import egyfrac
 from egyfrac.counting import MODE_AT_MOST, CountQuery, count_mitm
 from egyfrac.entropy import (
+    _P_FLOOR,
+    _entropy_nats,
+    _entropy_nats_scalar,
+    _gl_rule,
     _lambda_integral,
+    _logistic,
+    _logistic_scalar,
     binary_entropy,
     continuous_lambda,
     cx_constant,
@@ -269,6 +281,91 @@ def test_lambda_and_cx_pinned(x, lam, c_x):
     assert consts.lam == pytest.approx(lam, rel=1e-14, abs=0.0)
     assert continuous_lambda(x) == consts.lam
     assert consts.c_x == pytest.approx(c_x, rel=1e-11, abs=0.0)
+
+
+def test_continuous_constants_run_without_numpy():
+    # a None entry in sys.modules makes any "import numpy" fail
+    src = str(Path(egyfrac.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        'sys.modules["numpy"] = None\n'
+        "from egyfrac.cli import run, validate_record\n"
+        "from egyfrac.entropy import continuous_lambda, cx_constant\n"
+        "records = []\n"
+        "for command in ('cx', 'lambda'):\n"
+        "    out = io.StringIO()\n"
+        "    with redirect_stdout(out):\n"
+        "        assert run([command, '--x', '1/1']) == 0\n"
+        "    records.append(json.loads(out.getvalue()))\n"
+        "    validate_record(records[-1])\n"
+        "pins = [(x, continuous_lambda(x), cx_constant(x)) for x in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([records, [(x, lam, c.lam, c.c_x) for x, lam, c in pins]]))\n"
+    )
+    xs = json.dumps([x for x, _, _ in CONTINUOUS_PINS])
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, xs], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    (cx_record, lambda_record), values = json.loads(proc.stdout)
+    assert cx_record["c_x"] == pytest.approx(C_1, rel=1e-11, abs=0.0)
+    assert cx_record["lambda"] == pytest.approx(LAMBDA_1, abs=1e-9)
+    assert lambda_record["lambda"] == cx_record["lambda"]
+    assert lambda_record["residual"] <= 1e-12
+    for (x, lam, c_x), (got_x, got_lam, cx_lam, got_cx) in zip(CONTINUOUS_PINS, values):
+        assert got_x == x
+        assert got_lam == pytest.approx(lam, rel=1e-14, abs=0.0)
+        assert cx_lam == got_lam
+        assert got_cx == pytest.approx(c_x, rel=1e-11, abs=0.0)
+
+
+def test_gl_rule_matches_leggauss():
+    nodes, weights = _gl_rule()
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(32)
+    assert isinstance(nodes, tuple) and isinstance(weights, tuple)
+    assert all(type(v) is float for v in nodes + weights)
+    assert np.max(np.abs(np.array(nodes) - ref_nodes)) <= 1e-15
+    assert np.max(np.abs(np.array(weights) - ref_weights)) <= 1e-15
+
+
+def test_gl_rule_integrates_polynomials_to_degree_63():
+    nodes, weights = _gl_rule()
+    assert math.fsum(weights) == pytest.approx(2.0, rel=0.0, abs=1e-14)
+    for k in range(64):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        got = math.fsum(w * t**k for t, w in zip(nodes, weights))
+        assert got == pytest.approx(exact, rel=0.0, abs=1e-14), k
+
+
+def logistic_grid():
+    """t over [0, 800] and logspace(-12, 3), with 0, 700, 745 and both sides of the flush."""
+    flush = -math.log(_P_FLOOR)
+    near = np.nextafter(flush, -np.inf) + np.arange(-50, 51) * np.spacing(flush)
+    return np.concatenate([
+        np.linspace(0.0, 800.0, 100001),
+        np.logspace(-12, 3, 2001),
+        [0.0, 700.0, 745.0],
+        near,
+        np.linspace(flush - 1e-9, flush + 1e-9, 2001),
+    ])
+
+
+def test_scalar_logistic_and_entropy_match_the_array_forms():
+    t = logistic_grid()
+    p = _logistic(t.copy())
+    scalar_p = np.array([_logistic_scalar(float(v)) for v in t])
+    # the grid reaches the flush from both sides, in both forms
+    flushed = np.abs(t + math.log(_P_FLOOR)) < 1e-9
+    for q in (p, scalar_p):
+        assert (q[flushed] == 0.0).any() and (q[flushed] > 0.0).any()
+    assert scalar_p[t == 0.0][0] == p[t == 0.0][0] == 0.5
+    assert (scalar_p[t >= 700.0] == 0.0).all() and (p[t >= 700.0] == 0.0).all()
+    assert np.all(np.abs(scalar_p - p) <= 4e-16 * p)
+    h = _entropy_nats(p)
+    scalar_h = np.array([_entropy_nats_scalar(float(v)) for v in p])
+    assert np.all(np.abs(scalar_h - h) <= 4e-16 * h)
 
 
 def test_cx_defined_across_the_bracket():

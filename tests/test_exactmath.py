@@ -131,7 +131,8 @@ def test_primes_upto_matches_trial_division():
         want = [m for m in range(n + 1) if is_prime(m)]
         assert primes_upto(n) == want
         if n >= 2:
-            assert FactorSieve(n).primes() == want
+            sieve = FactorSieve(n)
+            assert [m for m in range(2, n + 1) if sieve.spf[m] == m] == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 64, 97, 200])
@@ -209,7 +210,8 @@ def test_factor_sieve_primes_agree_with_byte_sieve():
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
     want = [m for m in range(n + 1) if flags[m]]
-    assert FactorSieve(n).primes() == want
+    sieve = FactorSieve(n)
+    assert [m for m in range(2, n + 1) if sieve.spf[m] == m] == want
     assert primes_upto(n) == want
 
 
