@@ -4,17 +4,22 @@ Every subcommand emits a single JSON record on stdout: the result payload
 plus run metadata (command, parameters, started/finished timestamps,
 version). Rationals are rendered as "p/q" strings and potentially huge
 counts as decimal strings, so records survive JSON round trips losslessly.
-Records and construct --trace files are written by _to_json, which emits
-the bytes of json.dumps(obj, indent=2, sort_keys=True) with the long int
-lists of construct traces joined in C.
+Records and construct --trace files are written chunk by chunk by
+_json_chunks, which yields the bytes of json.dumps(obj, indent=2,
+sort_keys=True) with the long int lists of construct traces joined in C;
+neither the whole record nor the whole trace file is held as one string.
+construct encodes each trace once, as soon as its run returns, and keeps
+only that text and what its summary counts need.
 --format csv is available for the tabular payloads (entropy profiles,
-coverage histograms). A relative --out path is resolved against
+coverage histograms); its rows are built and written one at a time, and
+only in that format. A relative --out path is resolved against
 EGYFRAC_OUT_DIR when that variable is set.
 
-Exit codes: 0 success, 1 domain or numeric error (a MemoryError included),
-2 usage error (including --budget on a subcommand other than simulate and
-construct, the two that honour it, or a NaN or negative budget), 3 budget
-exceeded (payload flagged "truncated").
+Exit codes: 0 success, 1 domain or numeric error (a MemoryError included,
+and an --out or --trace path that cannot be written), 2 usage error
+(including --budget on a subcommand other than simulate and construct, the
+two that honour it, or a NaN or negative budget), 3 budget exceeded
+(payload flagged "truncated").
 """
 
 from __future__ import annotations
@@ -180,7 +185,7 @@ def _cmd_entropy(args) -> dict:
         "H": prof.H,
         "saturated": prof.c == 0.0,
         "residual": abs(mean - float(args.x)),
-        "_csv": [("m", "p")] + [(m, float(prof.p[m - 1])) for m in range(1, args.n + 1)],
+        "_csv": (("m", "p"), zip(range(1, args.n + 1), map(float, prof.p))),
     }
 
 
@@ -229,6 +234,7 @@ def _cmd_modcover(args) -> dict:
         else:
             histogram[size] = histogram.get(size, 0) + 1
     reach_sizes = [s for s in cover if s is not None]
+    rows = sorted(histogram.items())
     return {
         "q": args.q,
         "lo": args.lo,
@@ -238,8 +244,8 @@ def _cmd_modcover(args) -> dict:
         "reachable": len(reach_sizes),
         "unreachable": unreachable,
         "max_min_size": max(reach_sizes) if reach_sizes else None,
-        "histogram": {str(k): v for k, v in sorted(histogram.items())},
-        "_csv": [("size", "residues")] + sorted(histogram.items()),
+        "histogram": {str(k): v for k, v in rows},
+        "_csv": (("size", "residues"), rows),
     }
 
 
@@ -249,7 +255,9 @@ def _cmd_construct(args, deadline: float | None) -> dict:
     # Before any table is built; the seeds are consecutive, so the ends bound them all.
     for seed in (args.seed, args.seed + args.count - 1):
         _cli._check_seed(seed)
-    traces = []
+    encoded = []
+    succeeded = 0
+    element_sets = set()
     truncated = False
     for i in range(args.count):
         if deadline is not None and time.monotonic() > deadline:
@@ -258,23 +266,27 @@ def _cmd_construct(args, deadline: float | None) -> dict:
         trace = _cli.construct_representation(
             args.n, args.x, seed=args.seed + i, deadline=deadline
         )
-        traces.append(trace)
-    # Each trace is encoded once, for the --trace file and the record alike.
-    encoded = [_JSONText(_to_json(_cli.trace_to_dict(t))) for t in traces]
+        # Encoded once, for the --trace file and the record alike; the trace
+        # itself is dropped, keeping only what the summary counts need.
+        encoded.append(_JSONText(_to_json(_cli.trace_to_dict(trace))))
+        if trace.success:
+            succeeded += 1
+            element_sets.add(",".join(map(str, trace.elements)))
+        if trace.reason and trace.reason.startswith("budget"):
+            truncated = True
     if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(_to_json(encoded[0] if len(encoded) == 1 else encoded) + "\n")
+        _write(args.trace, _json_lines(encoded[0] if len(encoded) == 1 else encoded))
     out = {
         "n": args.n,
         "x": _frac_str(args.x),
         "seed": args.seed,
         "requested": args.count,
-        "completed": len(traces),
-        "succeeded": sum(1 for t in traces if t.success),
-        "distinct": len({t.elements for t in traces if t.success}),
+        "completed": len(encoded),
+        "succeeded": succeeded,
+        "distinct": len(element_sets),
         "traces": encoded,
     }
-    if truncated or any(t.reason and t.reason.startswith("budget") for t in traces):
+    if truncated:
         out["truncated"] = True
     return out
 
@@ -336,62 +348,90 @@ def validate_record(record: dict) -> None:
 
 
 class _JSONText(str):
-    """JSON text that _to_json made at depth 0; _to_json indents it to any depth."""
+    """JSON text that _to_json made at depth 0; _json_chunks indents it to any depth."""
 
 
-def _to_json(obj, newline: str = "\n") -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, with int lists joined in C.
+def _json_chunks(obj, newline: str = "\n"):
+    """Yield json.dumps(obj, indent=2, sort_keys=True) in pieces, byte for byte.
 
     With an indent, json drops to its pure-Python encoder. Here a non-empty
-    list, tuple or str-keyed dict is laid out the same way, a list of plain
-    ints (not bools) is joined in one str.join, and strings and ints take
-    json's own C encoders. Anything else (bools, None, floats, non-finite
-    ones included, empty containers and dicts with other keys) goes through
-    json.dumps, re-indented to its depth: JSON strings never hold a raw
-    newline, so every newline of that text is layout. For the same reason
-    a _JSONText, encoded once at depth 0, is re-indented, not re-encoded.
-    `newline` is a newline followed by the indentation of obj's depth.
+    list, tuple or str-keyed dict is laid out the same way, item by item,
+    a list of plain ints (not bools) is joined in one str.join, and strings
+    and ints take json's own C encoders. Anything else (bools, None, floats,
+    non-finite ones included, empty containers and dicts with other keys)
+    goes through json.dumps, re-indented to its depth: JSON strings never
+    hold a raw newline, so every newline of that text is layout. For the
+    same reason a _JSONText, encoded once at depth 0, is re-indented, not
+    re-encoded, and is yielded as one piece. `newline` is a newline
+    followed by the indentation of obj's depth.
     """
     kind = type(obj)
     if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is _JSONText:
-        return obj.replace("\n", newline)
-    if kind is int:
-        return int.__repr__(obj)
-    str_keyed = kind is dict and all(type(k) is str for k in obj)
-    if obj and (kind is list or kind is tuple or str_keyed):
+        yield encode_basestring_ascii(obj)
+    elif kind is _JSONText:
+        yield obj.replace("\n", newline)
+    elif kind is int:
+        yield int.__repr__(obj)
+    elif obj and (kind is list or kind is tuple or kind is dict and all(type(k) is str for k in obj)):
         inner = newline + "  "
-        sep = "," + inner
         if kind is dict:
-            items = sorted(obj.items())
-            body = sep.join(encode_basestring_ascii(k) + ": " + _to_json(v, inner) for k, v in items)
-            return "{" + inner + body + newline + "}"
-        if set(map(type, obj)) == {int}:
-            body = sep.join(map(int.__repr__, obj))
+            for i, (k, v) in enumerate(sorted(obj.items())):
+                yield ("," if i else "{") + inner + encode_basestring_ascii(k) + ": "
+                yield from _json_chunks(v, inner)
+            yield newline + "}"
+        elif set(map(type, obj)) == {int}:
+            yield "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]"
         else:
-            body = sep.join(_to_json(v, inner) for v in obj)
-        return "[" + inner + body + newline + "]"
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
-
-
-def _emit(record: dict, args, csv_rows) -> None:
-    if getattr(args, "format", "json") == "csv":
-        if csv_rows is None:
-            raise ValueError(f"--format csv is not available for {record['command']}")
-        lines = ["%s" % ",".join(str(v) for v in row) for row in csv_rows]
-        text = "\n".join(lines) + "\n"
+            for i, v in enumerate(obj):
+                yield ("," if i else "[") + inner
+                yield from _json_chunks(v, inner)
+            yield newline + "]"
     else:
-        text = _to_json(record) + "\n"
+        yield json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
+
+
+def _to_json(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte: the join of _json_chunks."""
+    return "".join(_json_chunks(obj))
+
+
+def _json_lines(obj):
+    """A record or --trace file: obj's JSON text, then one newline."""
+    yield from _json_chunks(obj)
+    yield "\n"
+
+
+def _csv_lines(header, rows):
+    """A CSV table, one line at a time; rows is read only as lines are written."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(map(str, row)) + "\n"
+
+
+def _write(path: str, chunks) -> None:
+    """Write text chunks to path; a path that cannot be written raises ValueError naming it."""
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _emit(record: dict, args, csv) -> None:
+    if getattr(args, "format", "json") == "csv":
+        if csv is None:
+            raise ValueError(f"--format csv is not available for {record['command']}")
+        chunks = _csv_lines(*csv)
+    else:
+        chunks = _json_lines(record)
     if getattr(args, "out", None):
         path = args.out
         base = os.environ.get("EGYFRAC_OUT_DIR")
         if base and not os.path.isabs(path):
             path = os.path.join(base, path)
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write(path, chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def run(argv=None) -> int:
@@ -421,7 +461,7 @@ def run(argv=None) -> int:
         sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return 1
 
-    csv_rows = payload.pop("_csv", None)
+    csv = payload.pop("_csv", None)
     parameters = {
         k: (_frac_str(v) if isinstance(v, Fraction) else v)
         for k, v in vars(args).items()
@@ -436,7 +476,7 @@ def run(argv=None) -> int:
         **payload,
     }
     try:
-        _emit(record, args, csv_rows)
+        _emit(record, args, csv)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

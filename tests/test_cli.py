@@ -10,6 +10,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,8 +19,8 @@ import pytest
 from argparse import ArgumentTypeError
 
 import egyfrac
-from egyfrac.absorption import replay_trace
-from egyfrac.cli import _to_json, parse_rational, run, validate_record
+from egyfrac.absorption import construct_representation, replay_trace, trace_to_dict
+from egyfrac.cli import _json_lines, _to_json, parse_rational, run, validate_record
 from egyfrac.counting import count_brute
 from egyfrac.entropy import discrete_profile
 from egyfrac.modelsim import estimate_prob_at_most
@@ -134,6 +136,31 @@ def test_entropy_record_and_csv(capsys):
     assert saturated["c"] == 0.0
 
 
+def test_entropy_json_record_builds_no_csv_row(capsys, monkeypatch):
+    # indexing and iterating a subclass both read its entries through __getitem__
+    import numpy as np
+
+    reads = []
+
+    class CountedArray(np.ndarray):
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
+
+    def profile(n, x):
+        prof = discrete_profile(n, x)
+        return replace(prof, p=prof.p.view(CountedArray))
+
+    monkeypatch.setattr(egyfrac.cli, "discrete_profile", profile)
+    argv = ["entropy", "--n", "40", "--x", "1/1"]
+    assert record_of(capsys, argv)["residual"] < 1e-9
+    assert reads == []
+    code, out, _ = invoke(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    assert len(out.splitlines()) == 41
+    assert len(reads) == 40
+
+
 def test_simulate_record_is_deterministic(capsys):
     argv = ["simulate", "--n", "500", "--x", "1/1", "--trials", "800", "--seed", "42"]
     first = record_of(capsys, argv)
@@ -212,6 +239,21 @@ def test_out_file_and_env_dir(capsys, tmp_path, monkeypatch):
     code, _, _ = invoke(capsys, ["count", "--n", "5", "--x", "1/2", "--out", "rel.json"])
     assert code == 0
     validate_record(json.loads((tmp_path / "rel.json").read_text()))
+
+
+def test_unwritable_out_or_trace_exits_1_naming_the_path(capsys, tmp_path):
+    missing = tmp_path / "no-such-dir"
+    cases = [
+        (["verify", "--n", "6", "--x", "1/1", "--set", "2,3,6", "--out"], missing / "r.json"),
+        (["construct", "--n", "400", "--x", "1/1", "--trace"], missing / "t.json"),
+    ]
+    for argv, path in cases:
+        code, out, err = invoke(capsys, argv + [str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(path) in err
+    assert not missing.exists()
 
 
 def test_usage_errors_exit_2(capsys):
@@ -478,6 +520,73 @@ def test_construct_count_matches_single_seed_runs(capsys, tmp_path):
     assert json.loads(together.read_text()) == singles
 
 
+def test_construct_count_peak_memory_stays_within_3_5_records(tmp_path):
+    # each trace is held once, as its encoded text; holding the traces, their
+    # dicts and the whole record string as well peaked at 5.5 records
+    base = ["construct", "--n", "5000", "--x", "1/1", "--seed", "1"]
+    assert run(base + ["--count", "2", "--out", str(tmp_path / "warm.json")]) == 0
+    out = tmp_path / "record.json"
+    tracemalloc.start()
+    try:
+        code = run(base + ["--count", "10", "--out", str(out), "--trace", str(tmp_path / "t.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    size = out.stat().st_size
+    assert peak < 3.5 * size, (peak, size)
+
+
+@pytest.mark.parametrize("completed", [0, 1, 2])
+def test_construct_budget_stop_keeps_the_record_and_trace_layout(
+    capsys, tmp_path, monkeypatch, completed
+):
+    # the deadline passes once `completed` runs have returned; the --trace
+    # file is a bare object after exactly one run, and a list otherwise
+    monkeypatch.chdir(tmp_path)
+    budget = "0"
+    if completed:
+        now = [0.0]
+        monkeypatch.setattr("egyfrac.cli.time.monotonic", lambda: now[0])
+        real = egyfrac.cli.construct_representation
+
+        def construct(*args, **kwargs):
+            trace = real(*args, **kwargs)
+            if kwargs["seed"] == completed:  # the seeds start at 1
+                now[0] = 2.0
+            return trace
+
+        monkeypatch.setattr(egyfrac.cli, "construct_representation", construct)
+        budget = "1"
+    argv = ["construct", "--n", "400", "--x", "1/1", "--seed", "1", "--count", "3"]
+    code, out, _ = invoke(capsys, argv + ["--budget", budget, "--trace", "t.json"])
+    assert code == 3
+    record = json.loads(out)
+    traces = [
+        trace_to_dict(construct_representation(400, Fraction(1), seed=seed))
+        for seed in range(1, completed + 1)
+    ]
+    want = {
+        "command": "construct",
+        "parameters": {"n": 400, "x": "1/1", "seed": 1, "count": 3, "trace": "t.json"},
+        "version": egyfrac.__version__,
+        "started": record["started"],
+        "finished": record["finished"],
+        "n": 400,
+        "x": "1/1",
+        "seed": 1,
+        "requested": 3,
+        "completed": completed,
+        "succeeded": completed,
+        "distinct": completed,
+        "traces": traces,
+        "truncated": True,
+    }
+    assert out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    stored = traces[0] if completed == 1 else traces
+    assert (tmp_path / "t.json").read_text() == json.dumps(stored, indent=2, sort_keys=True) + "\n"
+
+
 def test_simulate_record_ignores_the_blas_thread_setting():
     # a multi-threaded BLAS dot product sums in another order; the package
     # defaults it to one thread, so an unset variable must give the same record
@@ -531,7 +640,10 @@ _WRITER_EDGE_CASES = [
 
 @pytest.mark.parametrize("obj", _WRITER_EDGE_CASES, ids=range(len(_WRITER_EDGE_CASES)))
 def test_writer_matches_json_dumps_on_edge_cases(obj):
-    assert _to_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    want = json.dumps(obj, indent=2, sort_keys=True)
+    assert _to_json(obj) == want
+    # the chunks that records and --trace files are written from
+    assert "".join(_json_lines(obj)) == want + "\n"
 
 
 @pytest.mark.parametrize("command", sorted(_SUBCOMMAND_ARGV))
