@@ -13,7 +13,17 @@ only that text and what its summary counts need.
 --format csv is available for the tabular payloads (entropy profiles,
 coverage histograms); its rows are built and written one at a time, and
 only in that format. A relative --out path is resolved against
-EGYFRAC_OUT_DIR when that variable is set.
+EGYFRAC_OUT_DIR when that variable is set. --out and --trace paths are
+checked before the command does any work, without creating or
+truncating a file.
+
+While a command runs, run() keeps OpenSSL out of the process: numpy.random
+imports secrets, whose hmac and hashlib would map libcrypto (3.7 MB of
+resident set) through _hashlib, and nothing here hashes anything. Unless
+_hashlib is loaded already, a None entry for it in sys.modules makes that
+import fail, so hashlib and hmac fall back to CPython's built-in digests;
+the entry is removed when the command returns. Importing this module, and
+library use of egyfrac, are unaffected.
 
 Exit codes: 0 success, 1 domain or numeric error (a MemoryError included,
 and an --out or --trace path that cannot be written), 2 usage error
@@ -25,10 +35,12 @@ two that honour it, or a NaN or negative budget), 3 budget exceeded
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
 import re
+import stat
 import sys
 import time
 from datetime import datetime, timezone
@@ -176,8 +188,12 @@ def _cmd_count(args) -> dict:
 
 
 def _cmd_entropy(args) -> dict:
+    import numpy as np
+
     prof = discrete_profile(args.n, float(args.x))
-    mean = float((prof.p / range(1, args.n + 1)).sum())
+    # p / m in one array; numpy would turn a range into a list of ints first
+    ratio = np.arange(1, args.n + 1, dtype=np.float64)
+    mean = float(np.divide(prof.p, ratio, out=ratio).sum())
     return {
         "n": args.n,
         "x": _frac_str(args.x),
@@ -408,13 +424,52 @@ def _csv_lines(header, rows):
         yield ",".join(map(str, row)) + "\n"
 
 
+def _cannot_write(path: str, exc: OSError) -> ValueError:
+    return ValueError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _write(path: str, chunks) -> None:
     """Write text chunks to path; a path that cannot be written raises ValueError naming it."""
     try:
         with open(path, "w") as fh:
             fh.writelines(chunks)
     except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise _cannot_write(path, exc) from None
+
+
+def _check_writable(path: str) -> None:
+    """Raise _write's ValueError now if open(path, "w") is bound to fail.
+
+    Nothing is created or truncated: an existing path must be a file this
+    process may write, and a new one needs a directory it may write into.
+    """
+    def refuse(code: int) -> OSError:
+        return OSError(code, os.strerror(code))
+
+    try:
+        if os.path.isdir(path):
+            raise refuse(errno.EISDIR)
+        if os.path.exists(path):
+            if not os.access(path, os.W_OK):
+                raise refuse(errno.EACCES)
+            return
+        parent = os.path.dirname(path) or "."
+        # os.stat raises for a parent that is missing or under a file
+        if not stat.S_ISDIR(os.stat(parent).st_mode):
+            raise refuse(errno.ENOTDIR)
+        if not os.access(parent, os.W_OK | os.X_OK):
+            raise refuse(errno.EACCES)
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
+
+
+def _out_path(args) -> str | None:
+    """--out, a relative path taken against EGYFRAC_OUT_DIR when that is set."""
+    path = getattr(args, "out", None)
+    base = os.environ.get("EGYFRAC_OUT_DIR")
+    if path and base and not os.path.isabs(path):
+        path = os.path.join(base, path)
+    return path
 
 
 def _emit(record: dict, args, csv) -> None:
@@ -424,11 +479,8 @@ def _emit(record: dict, args, csv) -> None:
         chunks = _csv_lines(*csv)
     else:
         chunks = _json_lines(record)
-    if getattr(args, "out", None):
-        path = args.out
-        base = os.environ.get("EGYFRAC_OUT_DIR")
-        if base and not os.path.isabs(path):
-            path = os.path.join(base, path)
+    path = _out_path(args)
+    if path:
         _write(path, chunks)
     else:
         sys.stdout.writelines(chunks)
@@ -455,11 +507,21 @@ def run(argv=None) -> int:
         "sieve": lambda: _cmd_sieve(args),
         "verify": lambda: _cmd_verify(args),
     }
+    # No libcrypto for numpy.random's secrets import (see the module docstring).
+    block_openssl = "_hashlib" not in sys.modules
+    if block_openssl:
+        sys.modules["_hashlib"] = None
     try:
+        for path in (_out_path(args), getattr(args, "trace", None)):
+            if path:
+                _check_writable(path)
         payload = handlers[args.command]()
     except (ValueError, ZeroDivisionError, OverflowError, RuntimeError, MemoryError) as exc:
         sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return 1
+    finally:
+        if block_openssl:
+            sys.modules.pop("_hashlib", None)
 
     csv = payload.pop("_csv", None)
     parameters = {

@@ -14,6 +14,12 @@ The continuous side solves the n -> infinity limit: lambda is the root of
 and c_x integrates the binary entropy of the same logistic profile. As
 x grows, c_x increases strictly toward 1.
 
+The discrete solve holds four float64 arrays of the support's size at its
+peak: the support, 1/m and the two buffers every bisection step writes
+into. On the whole of [1, n] the last of these is returned as p, and the
+entropy sum, taken once the other three are freed, adds two arrays of
+length n beside it: four in all, where out-of-place expressions held ten.
+
 Only the discrete side loads numpy, and only when first called. The
 continuous side (continuous_lambda, cx_constant) is pure Python: its
 Gauss-Legendre nodes come from Newton's method on P_32, and its integrands
@@ -98,17 +104,78 @@ def _logistic(t: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     return t
 
 
-def _entropy_nats(p: np.ndarray) -> np.ndarray:
+def _entropy_nats(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """-p*ln(p) - (1-p)*ln(1-p) elementwise, with h(0) = 0.
 
     ln(1-p) goes through log1p so that tiny p keeps its relative accuracy.
+    The result is written into out (made when none is given) with one more
+    float64 buffer of p's shape. Each step is one ufunc, and -p*ln(p) is
+    taken as -(p*ln(p)), which is the same float: so every value equals the
+    out-of-place expression's bit for bit.
     """
     import numpy as np
-    return -p * np.log(np.where(p > 0.0, p, 1.0)) - (1.0 - p) * np.log1p(-p)
+    if out is None:
+        out = np.empty_like(p)
+    np.subtract(1.0, p, out=out)
+    buf = np.negative(p)
+    np.log1p(buf, out=buf)
+    np.multiply(out, buf, out=out)
+    # ln(p), with ln(1) = 0 standing in where p = 0
+    buf.fill(1.0)
+    np.copyto(buf, p, where=p > 0.0)
+    np.log(buf, out=buf)
+    np.multiply(p, buf, out=buf)
+    np.negative(buf, out=buf)
+    return np.subtract(buf, out, out=out)
 
 
 def _entropy_bits(p: np.ndarray) -> float:
     return float(_entropy_nats(p).sum() / math.log(2))
+
+
+def _solve(n: int, x: float, members: np.ndarray) -> tuple[float, np.ndarray]:
+    """(c, p) of the profile on members, a sorted float64 array of distinct m in [1, n].
+
+    p holds p_m for each member, in members' order. The solve holds four
+    arrays of members' size: members, 1/m, and the two buffers every step
+    of the bisection writes into, the first of which is returned as p. The
+    other two are freed when it returns.
+    """
+    import numpy as np
+    inv = 1.0 / members
+    if x >= 0.5 * float(inv.sum()):
+        return 0.0, np.full(members.size, 0.5)
+    # Every evaluation of the bisection writes into these two buffers.
+    p_try = np.empty_like(members)
+    scratch = np.empty_like(members)
+
+    def constraint(c_try: float) -> float:
+        np.divide(c_try * n, members, out=p_try)
+        return float(np.dot(_logistic(p_try, scratch), inv))
+
+    hi = 1.0
+    for _ in range(200):
+        if constraint(hi) < x:
+            break
+        hi *= 2.0
+    else:
+        raise RuntimeError("failed to bracket the profile constant c")
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if constraint(mid) > x:
+            lo = mid
+        else:
+            hi = mid
+    c = 0.5 * (lo + hi)
+    residual = abs(constraint(c) - x)
+    if residual > 1e-10 * x:
+        raise RuntimeError(
+            f"profile constraint residual {residual:.3e} exceeds 1e-10 relative"
+        )
+    return c, p_try
 
 
 def discrete_profile(n: int, x: float, support=None) -> EntropyProfile:
@@ -116,7 +183,9 @@ def discrete_profile(n: int, x: float, support=None) -> EntropyProfile:
 
     Returns p as a length-n array indexed by m-1; entries off the support are
     zero and contribute nothing to H or to the constraint. The converged
-    profile satisfies sum(p_m / m) = x to within 1e-10 relative.
+    profile satisfies sum(p_m / m) = x to within 1e-10 relative. support
+    is an array or any other iterable of ints; an array is sorted as it
+    is, anything else is read by np.fromiter, never through a list.
     """
     import numpy as np
     if n < 1:
@@ -125,57 +194,23 @@ def discrete_profile(n: int, x: float, support=None) -> EntropyProfile:
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"x must be positive and finite, got {x}")
     if support is None:
-        members = np.arange(1, n + 1, dtype=np.float64)
+        # The whole range: the solve's p is the profile, and H is taken
+        # after the solve's other arrays are freed.
+        c, p = _solve(n, x, np.arange(1, n + 1, dtype=np.float64))
+        return EntropyProfile(n=n, x=x, c=c, p=p, H=_entropy_bits(p))
+    if isinstance(support, np.ndarray):
+        index = np.sort(support.astype(np.int64, copy=False))
     else:
-        # Sorted and deduplicated by hand: np.unique would load numpy.ma.
-        members = np.sort(np.asarray(list(support), dtype=np.int64))
-        if members.size == 0:
-            raise ValueError("support must be nonempty")
-        if members[0] < 1 or members[-1] > n:
-            raise ValueError("support must lie within [1, n]")
-        members = members[np.diff(members, prepend=0) > 0].astype(np.float64)
-
-    inv = 1.0 / members
-    half_mass = 0.5 * float(inv.sum())
-
-    if x >= half_mass:
-        c = 0.0
-        p_members = np.full(members.size, 0.5)
-    else:
-        # Every evaluation of the bisection writes into these two buffers.
-        p_try = np.empty_like(members)
-        scratch = np.empty_like(members)
-
-        def constraint(c_try: float) -> float:
-            np.divide(c_try * n, members, out=p_try)
-            return float(np.dot(_logistic(p_try, scratch), inv))
-
-        hi = 1.0
-        for _ in range(200):
-            if constraint(hi) < x:
-                break
-            hi *= 2.0
-        else:
-            raise RuntimeError("failed to bracket the profile constant c")
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if constraint(mid) > x:
-                lo = mid
-            else:
-                hi = mid
-        c = 0.5 * (lo + hi)
-        p_members = _logistic(c * n / members, scratch)
-        residual = abs(float(np.dot(p_members, inv)) - x)
-        if residual > 1e-10 * x:
-            raise RuntimeError(
-                f"profile constraint residual {residual:.3e} exceeds 1e-10 relative"
-            )
-
+        index = np.sort(np.fromiter(support, np.int64))
+    if index.size == 0:
+        raise ValueError("support must be nonempty")
+    if index[0] < 1 or index[-1] > n:
+        raise ValueError("support must lie within [1, n]")
+    # Deduplicated by hand: np.unique would load numpy.ma.
+    index = index[np.diff(index, prepend=0) > 0]
+    c, p_members = _solve(n, x, index.astype(np.float64))
     p = np.zeros(n, dtype=np.float64)
-    p[members.astype(np.int64) - 1] = p_members
+    p[index - 1] = p_members
     return EntropyProfile(n=n, x=x, c=c, p=p, H=_entropy_bits(p_members))
 
 

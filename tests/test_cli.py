@@ -241,11 +241,20 @@ def test_out_file_and_env_dir(capsys, tmp_path, monkeypatch):
     validate_record(json.loads((tmp_path / "rel.json").read_text()))
 
 
-def test_unwritable_out_or_trace_exits_1_naming_the_path(capsys, tmp_path):
+def test_unwritable_out_or_trace_exits_1_naming_the_path(capsys, tmp_path, monkeypatch):
+    # the paths are checked before any work: a handler that got to its
+    # work function would raise past run()
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before its output path was checked")
+
+    for name in ("verify_representation", "discrete_profile", "construct_representation"):
+        monkeypatch.setattr(egyfrac.cli, name, no_work)
     missing = tmp_path / "no-such-dir"
     cases = [
         (["verify", "--n", "6", "--x", "1/1", "--set", "2,3,6", "--out"], missing / "r.json"),
+        (["simulate", "--n", "1000", "--x", "1/1", "--trials", "10", "--out"], missing / "s.json"),
         (["construct", "--n", "400", "--x", "1/1", "--trace"], missing / "t.json"),
+        (["verify", "--n", "6", "--x", "1/1", "--set", "2,3,6", "--out"], tmp_path),
     ]
     for argv, path in cases:
         code, out, err = invoke(capsys, argv + [str(path)])
@@ -254,6 +263,16 @@ def test_unwritable_out_or_trace_exits_1_naming_the_path(capsys, tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(path) in err
     assert not missing.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_path_check_truncates_no_existing_file(capsys, tmp_path):
+    # the --set error comes after the check, before any output is written
+    out_path = tmp_path / "r.json"
+    out_path.write_text("kept")
+    argv = ["verify", "--n", "6", "--x", "1/1", "--set", "2,x", "--out", str(out_path)]
+    assert invoke(capsys, argv)[0] == 1
+    assert out_path.read_text() == "kept"
 
 
 def test_usage_errors_exit_2(capsys):
@@ -450,6 +469,49 @@ def test_commands_run_without_numpy(capsys, argv):
         for key in TIMESTAMP_KEYS:
             record.pop(key, None)
     assert child == here
+
+
+SHA256_ABC = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+
+
+def test_sampling_commands_keep_openssl_out_of_the_process():
+    # numpy.random's secrets import would load _hashlib, and with it libcrypto
+    probe = (
+        "import sys\n"
+        "from egyfrac.cli import main\n"
+        "out = sys.argv[1]\n"
+        "for argv in (['simulate', '--n', '1000', '--x', '1/1', '--trials', '10', '--seed', '1'],\n"
+        "             ['construct', '--n', '400', '--x', '1/1', '--seed', '1']):\n"
+        "    sys.argv = ['egyfrac', *argv, '--out', out]\n"
+        "    try:\n"
+        "        main()\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code\n"
+        "print('numpy.random' in sys.modules, '_hashlib' in sys.modules)\n"
+        "import hashlib\n"
+        "print(hashlib.sha256(b'abc').hexdigest())\n"
+    )
+    proc = run_python(probe, os.devnull)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False", SHA256_ABC]
+
+
+def test_cli_import_adds_no_hashlib_key():
+    proc = run_python("import sys, egyfrac.cli; print('_hashlib' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+def test_run_keeps_a_hashlib_loaded_before_it():
+    probe = (
+        "import sys, _hashlib\n"
+        "from egyfrac.cli import run\n"
+        "code = run(['simulate', '--n', '1000', '--x', '1/1', '--trials', '10', '--out', sys.argv[1]])\n"
+        "print(code, sys.modules['_hashlib'] is _hashlib)\n"
+    )
+    proc = run_python(probe, os.devnull)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True"]
 
 
 def test_construct_does_not_load_numpy_ma():

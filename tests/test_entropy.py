@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -445,3 +446,79 @@ def test_profile_entropy_with_underflowed_entries():
     assert math.isfinite(prof.H)
     direct = sum(binary_entropy(float(pm)) for pm in prof.p)
     assert prof.H == pytest.approx(direct, rel=1e-12)
+
+
+# sha256 of p's bytes, repr(c) and repr(H) of the out-of-place solve, for
+# (n, x, support); "absorption" stands for build_config's universe, whose
+# profile at n = 20000, x = 3/4 has target (1 - eta) * x.
+PROFILE_PINS = {
+    (1000, 1.0, None): (
+        "597b5ba323bb4f1c1f56a2473cd46d9e876c8e59929adb9df9e8b10cdfd3b59e",
+        "0.12725451552098416",
+        "911.6221691575491",
+    ),
+    (100000, 1.0, None): (
+        "a3b11d78ad486c22d079f452e2bf9600f48df3a9f1846620898c56dbe6941560",
+        "0.1271915510797767",
+        "91117.11452737072",
+    ),
+    (100000, 0.5, None): (
+        "750dda6e3b829360b4efd4c98062bd2090342d21656c4c4eb188150b0ee4904c",
+        "0.39494727403085117",
+        "74305.92321392264",
+    ),
+    (20000, 0.75, "absorption"): (
+        "841c0c929913204027ed11141da9845c28f9b49bca9654d055fe4cb0b5d1a09d",
+        "0.142724170153831",
+        "9965.565803004958",
+    ),
+}
+
+
+def test_profile_bits_are_pinned():
+    # in a fresh child, where egyfrac sets one BLAS thread before numpy
+    # loads: a threaded dot product sums in another order and moves c
+    src = str(Path(egyfrac.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import hashlib, json, sys\n"
+        "from fractions import Fraction\n"
+        "from egyfrac.absorption import AbsorptionConfig, build_config\n"
+        "from egyfrac.entropy import discrete_profile\n"
+        "pins = []\n"
+        "for n, x, support in json.loads(sys.argv[1]):\n"
+        "    if support == 'absorption':\n"
+        "        config = build_config(n, Fraction(x))\n"
+        "        support, x = config.members, float((1 - AbsorptionConfig.eta) * config.x)\n"
+        "    prof = discrete_profile(n, x, support=support)\n"
+        "    pins.append([hashlib.sha256(prof.p.tobytes()).hexdigest(), repr(prof.c), repr(prof.H)])\n"
+        "print(json.dumps(pins))\n"
+    )
+    cases = list(PROFILE_PINS)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(cases)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    for case, got in zip(cases, json.loads(proc.stdout)):
+        assert tuple(got) == PROFILE_PINS[case], case
+
+
+def traced_peak_arrays(fn, *args, n):
+    """fn(*args)'s tracemalloc peak above what was held before it, in float64 arrays of length n."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, (peak - held) / (8 * n)
+
+
+def test_profile_peaks_below_five_and_a_half_arrays():
+    # the solve holds four arrays and the entropy sum three; the
+    # out-of-place solve and sum peaked at ten
+    discrete_profile(10, 1.0)
+    _, arrays = traced_peak_arrays(discrete_profile, 100000, 1.0, n=100000)
+    assert arrays < 5.5, arrays

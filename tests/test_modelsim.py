@@ -14,20 +14,27 @@ however the estimate ends.
 
 import json
 import os
+import subprocess
+import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from itertools import count, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import egyfrac
 from egyfrac.cli import run
 from egyfrac.entropy import EntropyProfile, discrete_profile
 from egyfrac.modelsim import (
+    _DRAW_BLOCK,
     _FORK_DRAWS,
     ModelSample,
+    _draw_mask,
     _inclusion_masks,
     _thresholds,
     _trial_rng,
@@ -94,6 +101,40 @@ def test_third_moment_is_per_coordinate_sum():
         lo, hi = -p / m, (1.0 - p) / m
         total += (1.0 - p) * abs(lo) ** 3 + p * abs(hi) ** 3
     assert mm.third_abs_sum == pytest.approx(total, abs=1e-15)
+
+
+def test_moments_are_pinned_at_n100000():
+    # in a fresh child, where egyfrac sets one BLAS thread before numpy
+    # loads; third_abs_sum is in no record, so only this guards its bits
+    src = str(Path(egyfrac.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "from egyfrac.entropy import discrete_profile\n"
+        "from egyfrac.modelsim import model_moments\n"
+        "mm = model_moments(discrete_profile(100000, 1.0))\n"
+        "print(repr(mm.mean), repr(mm.variance), repr(mm.third_abs_sum))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "1.0000000000000004", "3.6814164572883794e-05", "3.365253884988215e-09"
+    ]
+
+
+def test_moments_add_under_three_and_a_half_arrays():
+    # three buffers of length n; the out-of-place expressions peaked at five
+    n = 100000
+    prof = discrete_profile(n, 1.0)
+    model_moments(tiny_profile([0.5]))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        model_moments(prof)
+        arrays = (tracemalloc.get_traced_memory()[1] - held) / (8 * n)
+    finally:
+        tracemalloc.stop()
+    assert arrays < 3.5, arrays
 
 
 def test_sample_model_is_deterministic_and_exact():
@@ -189,12 +230,13 @@ def test_input_validation():
         sample_model(prof, seed=2**64)
 
 
-@pytest.mark.parametrize("n", [1, 3, 7, 1001])
+@pytest.mark.parametrize("n", [1, 3, 7, 1001, 2 * _DRAW_BLOCK + 5])
 @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
 def test_inclusion_masks_match_a_fresh_generator_per_trial(n, seed):
     # odd n leaves words in Philox's buffer after a trial; a re-key that kept
     # them would shift the next trial's draws. The key is a uint64 array: a
     # list holding 2**64 - 1 is cast through a signed type and loses the seed.
+    # The last n draws two whole blocks of words and a short third one.
     prof = tiny_profile(np.linspace(0.05, 0.95, n))
     trials = 0
     for t, mask in enumerate(_inclusion_masks(prof, seed, 6)):
@@ -204,6 +246,16 @@ def test_inclusion_masks_match_a_fresh_generator_per_trial(n, seed):
         assert np.array_equal(mask, oracle)
         trials += 1
     assert trials == 6
+
+
+def test_blocked_draw_into_a_bool_mask_matches_random():
+    # sample_base_set's path: a bool out, drawn over several blocks
+    n = 2 * _DRAW_BLOCK + 5
+    p = np.linspace(0.0, 0.999, n)
+    mask = np.empty(n, dtype=bool)
+    assert _draw_mask(_trial_rng(11, 3), _thresholds(p), mask) is mask
+    key = np.array([11, 3], dtype=np.uint64)
+    assert np.array_equal(mask, np.random.Generator(np.random.Philox(key=key)).random(n) < p)
 
 
 def test_trial_rng_rekey_forgets_the_previous_stream():
