@@ -16,9 +16,10 @@ x grows, c_x increases strictly toward 1.
 
 The discrete solve holds four float64 arrays of the support's size at its
 peak: the support, 1/m and the two buffers every bisection step writes
-into. On the whole of [1, n] the last of these is returned as p, and the
-entropy sum, taken once the other three are freed, adds two arrays of
-length n beside it: four in all, where out-of-place expressions held ten.
+into, one of which holds p. The entropy sum runs once the other three
+are freed and adds two arrays beside p. On the whole of [1, n] at most
+four arrays of length n are held at once; a given support adds its
+sorted int64 copy and the length-n p.
 
 Only the discrete side loads numpy, and only when first called. The
 continuous side (continuous_lambda, cx_constant) is pure Python: its
@@ -104,19 +105,17 @@ def _logistic(t: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     return t
 
 
-def _entropy_nats(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _entropy_nats(p: np.ndarray) -> np.ndarray:
     """-p*ln(p) - (1-p)*ln(1-p) elementwise, with h(0) = 0.
 
     ln(1-p) goes through log1p so that tiny p keeps its relative accuracy.
-    The result is written into out (made when none is given) with one more
-    float64 buffer of p's shape. Each step is one ufunc, and -p*ln(p) is
-    taken as -(p*ln(p)), which is the same float: so every value equals the
-    out-of-place expression's bit for bit.
+    Two float64 buffers of p's shape are written in place, one of them
+    returned. Each step is one ufunc, and -p*ln(p) is taken as -(p*ln(p)),
+    which is the same float: so every value equals the out-of-place
+    expression's bit for bit.
     """
     import numpy as np
-    if out is None:
-        out = np.empty_like(p)
-    np.subtract(1.0, p, out=out)
+    out = np.subtract(1.0, p)
     buf = np.negative(p)
     np.log1p(buf, out=buf)
     np.multiply(out, buf, out=out)
