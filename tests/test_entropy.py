@@ -448,6 +448,14 @@ def test_profile_entropy_with_underflowed_entries():
     assert prof.H == pytest.approx(direct, rel=1e-12)
 
 
+# The pins below hold where they were recorded: numpy 2.4.6 on an AVX-512
+# CPU. numpy picks its exp and log kernels, and OpenBLAS its dot kernel, by
+# CPU, so the last bits may differ elsewhere; the unfused-solve tests above
+# check bit equality on any platform.
+PINNED_PLATFORM = np.__version__ == "2.4.6" and bool(
+    np._core._multiarray_umath.__cpu_features__.get("AVX512_SKX")
+)
+
 # sha256 of p's bytes, repr(c) and repr(H) of the out-of-place solve, for
 # (n, x, support); "absorption" stands for build_config's universe, whose
 # profile at n = 20000, x = 3/4 has target (1 - eta) * x.
@@ -475,6 +483,7 @@ PROFILE_PINS = {
 }
 
 
+@pytest.mark.skipif(not PINNED_PLATFORM, reason="pins recorded under numpy 2.4.6 with AVX-512")
 def test_profile_bits_are_pinned():
     # in a fresh child, where egyfrac sets one BLAS thread before numpy
     # loads: a threaded dot product sums in another order and moves c
@@ -504,21 +513,15 @@ def test_profile_bits_are_pinned():
         assert tuple(got) == PROFILE_PINS[case], case
 
 
-def traced_peak_arrays(fn, *args, n):
-    """fn(*args)'s tracemalloc peak above what was held before it, in float64 arrays of length n."""
+def test_profile_peaks_below_five_and_a_half_arrays():
+    # the solve holds four arrays of length n, the entropy sum three
+    n = 100000
+    discrete_profile(10, 1.0)
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        result = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1]
+        discrete_profile(n, 1.0)
+        arrays = (tracemalloc.get_traced_memory()[1] - held) / (8 * n)
     finally:
         tracemalloc.stop()
-    return result, (peak - held) / (8 * n)
-
-
-def test_profile_peaks_below_five_and_a_half_arrays():
-    # the solve holds four arrays and the entropy sum three; the
-    # out-of-place solve and sum peaked at ten
-    discrete_profile(10, 1.0)
-    _, arrays = traced_peak_arrays(discrete_profile, 100000, 1.0, n=100000)
     assert arrays < 5.5, arrays
